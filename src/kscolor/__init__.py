@@ -28,7 +28,6 @@ from .certificate import (
     verify_certificate,
 )
 from .ffproj import (
-    bezout_check,
     enumerate_projections,
     project_mod_p,
     reduce_set_mod_p,

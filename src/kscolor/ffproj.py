@@ -1,16 +1,18 @@
-"""Projections of 3x3 matrices over prime fields.
+"""Projections of 3x3 matrices over prime fields, decided on lines mod p.
 
-A projection is a symmetric idempotent matrix; over F_p the full family is
-found by brute force over all p^6 symmetric matrices (numpy-vectorized).
-The family forms a partial Boolean algebra under commutativity, with
-complement I - e, meet ef and join e + f - ef on commuting pairs.  A
-Kochen-Specker coloring of the algebra is a two-valued homomorphism; its
-existence is decided by encoding the pairwise meet/join/complement laws as
-clauses and running the DPLL engine.
+A projection is a symmetric idempotent matrix.  Over F_p it is 0, I, a
+rank-1 projection e = q(v)^-1 v v^T for a line v of F_p^3 with
+q(v) = v.v != 0, or the complement I - e of one.  Two rank-1 projections
+commute iff they are equal or orthogonal, and every orthogonal pair of them
+completes to a triple summing to I, because q(v x w) = q(v) q(w).  So a
+Kochen-Specker coloring of the partial Boolean algebra (a two-valued
+homomorphism) is exactly a KS coloring of its p^2 non-isotropic lines,
+extended by h(0) = 0, h(I) = 1 and h(I - e) = 1 - h(e).
 
-Integer vectors with p not dividing their norm reduce to rank-1
-projections q(v)^-1 v v^T mod p, and colorability of such a rank-1 family
-is decided with the same pair/triple engine used for orthogonality graphs.
+Every rank-1 family is therefore mapped to its lines, and colorability is
+decided by the same orthogonality-graph builder and pair/triple search as
+for integer vectors, with orthogonality taken mod p.  Integer vectors with
+p not dividing their norm reduce to rank-1 projections q(v)^-1 v v^T mod p.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .solver import SolveResult, SolveStats, _Search, solve_cnf
+from .orthograph import build_graph
+from .solver import SolveResult, solve
 from .vectors import Vec3, VectorSet, norm_sq
 
 ENUMERATION_GUARD = 101
@@ -42,147 +43,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def mat_mul(a: Mat, b: Mat, p: int) -> Mat:
-    return tuple(
-        sum(a[3 * i + k] * b[3 * k + j] for k in range(3)) % p
-        for i in range(3)
-        for j in range(3)
-    )
-
-
-def mat_add(a: Mat, b: Mat, p: int) -> Mat:
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def mat_sub(a: Mat, b: Mat, p: int) -> Mat:
-    return tuple((x - y) % p for x, y in zip(a, b))
-
-
-def mat_rank(a: Mat, p: int) -> int:
-    rows = [list(a[0:3]), list(a[3:6]), list(a[6:9])]
-    rank = 0
-    col = 0
-    while col < 3 and rank < 3:
-        pivot = next((r for r in range(rank, 3) if rows[r][col] % p != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(3):
-            if r != rank and rows[r][col] % p != 0:
-                factor = rows[r][col]
-                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def is_projection(a: Mat, p: int) -> bool:
-    symmetric = a[1] == a[3] and a[2] == a[6] and a[5] == a[7]
-    return symmetric and mat_mul(a, a, p) == a
-
-
-@dataclass(frozen=True)
-class ProjAlgebra:
-    p: int
-    projections: tuple[Mat, ...]  # sorted row-major
-    zero_index: int
-    identity_index: int
-
-    def __len__(self) -> int:
-        return len(self.projections)
-
-    def index_of(self, m: Mat) -> int:
-        return self.projections.index(m)
-
-    def complement(self, i: int) -> int:
-        return self.index_of(mat_sub(IDENTITY, self.projections[i], self.p))
-
-    def commute(self, i: int, j: int) -> bool:
-        a, b = self.projections[i], self.projections[j]
-        return mat_mul(a, b, self.p) == mat_mul(b, a, self.p)
-
-    def rank_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for m in self.projections:
-            r = mat_rank(m, self.p)
-            counts[r] = counts.get(r, 0) + 1
-        return counts
-
-
-def enumerate_projections(p: int) -> ProjAlgebra:
-    """All symmetric idempotent 3x3 matrices over F_p, by exhaustive scan."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p > ENUMERATION_GUARD:
-        raise ValueError(f"enumeration refused beyond p = {ENUMERATION_GUARD}")
-    # Free entries of a symmetric matrix: diagonal (a, b, c), off-diagonal
-    # (d, e, f) = (m01, m02, m12).  The inner three are vectorized.
-    grid = np.indices((p, p, p), dtype=np.int64).reshape(3, -1)
-    d, e, f = grid[0], grid[1], grid[2]
-    found: list[Mat] = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                mask = (
-                    ((a * a + d * d + e * e - a) % p == 0)
-                    & ((a * d + d * b + e * f - d) % p == 0)
-                    & ((a * e + d * f + e * c - e) % p == 0)
-                    & ((d * d + b * b + f * f - b) % p == 0)
-                    & ((d * e + b * f + f * c - f) % p == 0)
-                    & ((e * e + f * f + c * c - c) % p == 0)
-                )
-                for di, ei, fi in zip(d[mask], e[mask], f[mask]):
-                    found.append(
-                        (a, int(di), int(ei), int(di), b, int(fi), int(ei), int(fi), c)
-                    )
-    projections = tuple(sorted(found))
-    return ProjAlgebra(
-        p=p,
-        projections=projections,
-        zero_index=projections.index(ZERO),
-        identity_index=projections.index(IDENTITY),
-    )
-
-
-def search_ba_coloring(algebra: ProjAlgebra) -> SolveResult:
-    """Two-valued homomorphism search on the partial Boolean algebra.
-
-    Constraints: 0 -> 0, I -> 1, and for every commuting pair the meet maps
-    to the product and the join to the Boolean sum of the images (which
-    subsumes the complement law via the pair (e, I - e)).
-    """
-    p = algebra.p
-    projs = algebra.projections
-    index = {m: i for i, m in enumerate(projs)}
-    n = len(projs)
-    clauses: set[tuple[int, ...]] = set()
-    clauses.add((-(algebra.zero_index + 1),))
-    clauses.add((algebra.identity_index + 1,))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = projs[i], projs[j]
-            ab = mat_mul(a, b, p)
-            if ab != mat_mul(b, a, p):
-                continue
-            vi, vj = i + 1, j + 1
-            vg = index[ab] + 1
-            vh = index[mat_sub(mat_add(a, b, p), ab, p)] + 1
-            clauses.add(tuple(sorted((-vg, vi))))
-            clauses.add(tuple(sorted((-vg, vj))))
-            clauses.add(tuple(sorted((vg, -vi, -vj))))
-            clauses.add(tuple(sorted((vh, -vi))))
-            clauses.add(tuple(sorted((vh, -vj))))
-            clauses.add(tuple(sorted((-vh, vi, vj))))
-    model = solve_cnf(n, sorted(clauses))
-    stats = SolveStats()
-    if model is None:
-        return SolveResult(False, None, stats)
-    return SolveResult(True, model, stats)
-
-
 def project_mod_p(v: Vec3, p: int) -> Mat:
     """Rank-1 projection q(v)^-1 v v^T reduced mod p."""
     if not is_prime(p):
@@ -192,6 +52,89 @@ def project_mod_p(v: Vec3, p: int) -> Mat:
         raise ValueError(f"{p} divides the norm of {v}; projection has no mod-{p} image")
     scale = pow(q, -1, p)
     return tuple((scale * v[i] * v[j]) % p for i in range(3) for j in range(3))
+
+
+def _line_of(m: Mat, p: int) -> Optional[Vec3]:
+    """The line v (first nonzero entry 1) with m == project_mod_p(v, p), or
+    None when m is not a rank-1 projection mod p."""
+    for row in (m[0:3], m[3:6], m[6:9]):
+        lead = next((x % p for x in row if x % p), 0)
+        if lead:
+            inv = pow(lead, -1, p)
+            v = tuple((inv * x) % p for x in row)
+            return v if norm_sq(v) % p and project_mod_p(v, p) == m else None
+    return None
+
+
+def _complement(m: Mat, p: int) -> Mat:
+    return tuple((i - x) % p for i, x in zip(IDENTITY, m))
+
+
+def _color_lines(lines: set[Vec3], p: int) -> tuple[SolveResult, dict[Vec3, int]]:
+    """KS search on lines mod p; the colors by line when SAT."""
+    s = VectorSet(tuple(sorted(lines)))
+    result = solve(build_graph(s, p))
+    colors = dict(zip(s.vectors, result.coloring)) if result.satisfiable else {}
+    return result, colors
+
+
+@dataclass(frozen=True)
+class ProjAlgebra:
+    p: int
+    projections: tuple[Mat, ...]  # sorted row-major
+
+    def __len__(self) -> int:
+        return len(self.projections)
+
+    def rank_counts(self) -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for m in self.projections:
+            if m == ZERO:
+                r = 0
+            elif m == IDENTITY:
+                r = 3
+            else:
+                r = 1 if _line_of(m, self.p) else 2
+            counts[r] = counts.get(r, 0) + 1
+        return counts
+
+
+def enumerate_projections(p: int) -> ProjAlgebra:
+    """All symmetric idempotent 3x3 matrices over F_p: 0, I, and e and I - e
+    for the rank-1 projection e of each of the p^2 non-isotropic lines."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration refused beyond p = {ENUMERATION_GUARD}")
+    reps = [(0, 0, 1)] + [(0, 1, z) for z in range(p)]
+    reps += [(1, y, z) for y in range(p) for z in range(p)]
+    rank1 = [project_mod_p(v, p) for v in reps if norm_sq(v) % p]
+    found = [ZERO, IDENTITY, *rank1, *(_complement(e, p) for e in rank1)]
+    return ProjAlgebra(p=p, projections=tuple(sorted(found)))
+
+
+def search_ba_coloring(algebra: ProjAlgebra) -> SolveResult:
+    """Two-valued homomorphism search on the partial Boolean algebra.
+
+    Decided as a KS coloring of the lines of the rank-1 elements, extended
+    by 0 -> 0, I -> 1 and I - e -> 1 - h(e).
+    """
+    p = algebra.p
+    line = {m: _line_of(m, p) for m in algebra.projections}
+    result, colors = _color_lines({v for v in line.values() if v}, p)
+    if not result.satisfiable:
+        return result
+
+    def h(m: Mat) -> int:
+        if m == ZERO:
+            return 0
+        if m == IDENTITY:
+            return 1
+        if line[m]:
+            return colors[line[m]]
+        return 1 - colors[line[_complement(m, p)]]
+
+    return SolveResult(True, tuple(h(m) for m in algebra.projections), result.stats)
 
 
 @dataclass(frozen=True)
@@ -214,54 +157,23 @@ def reduce_set_mod_p(s: VectorSet, p: int) -> ReducedSet:
 def restricted_ks_search(projs: Sequence[Mat], p: Optional[int] = None) -> SolveResult:
     """Colorability of a rank-1 projection family over one prime.
 
-    Orthogonal pairs (ef = 0) allow at most one 1; triples with pairwise
-    zero products summing to I demand exactly one 1.
+    Each projection is mapped to its line; orthogonal lines (ef = 0) allow
+    at most one 1, and orthogonal triples (e + f + g = I) demand exactly
+    one.  A coloring is given per input projection.
     """
     projs = list(projs)
     if projs and p is None:
         raise ValueError("prime p required")
-    if not projs:
-        return SolveResult(True, (), SolveStats())
+    lines = []
     for m in projs:
-        if not is_projection(m, p) or mat_rank(m, p) != 1:
+        v = _line_of(m, p)
+        if v is None:
             raise ValueError(f"not a rank-1 projection mod {p}: {m}")
-    n = len(projs)
-    edges = []
-    orth = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat_mul(projs[i], projs[j], p) == ZERO:
-                edges.append((i, j))
-                orth[i].add(j)
-                orth[j].add(i)
-    triples = []
-    for i, j in edges:
-        for k in sorted(orth[i] & orth[j]):
-            if k > j:
-                total = mat_add(mat_add(projs[i], projs[j], p), projs[k], p)
-                if total == IDENTITY:
-                    triples.append((i, j, k))
-    search = _Search(n, edges, triples)
-    return search.run()
-
-
-def bezout_check(sample_primes: Sequence[int] = (5, 13, 17, 19, 23)) -> bool:
-    """31 * 5 - 2 * 77 = 1, also as scalar matrices over sample F_p."""
-    if 31 * 5 - 2 * 77 != 1:
-        return False
-    for p in sample_primes:
-        if p in (2, 3, 7, 11) or not is_prime(p):
-            raise ValueError(f"sample primes must be primes outside {{2,3,7,11}}: {p}")
-        five_i = tuple((5 * e) % p for e in IDENTITY)
-        seventyseven_i = tuple((77 * e) % p for e in IDENTITY)
-        combo = mat_sub(
-            tuple((31 * e) % p for e in five_i),
-            tuple((2 * e) % p for e in seventyseven_i),
-            p,
-        )
-        if combo != tuple(e % p for e in IDENTITY):
-            return False
-    return True
+        lines.append(v)
+    result, colors = _color_lines(set(lines), p)
+    if not result.satisfiable:
+        return result
+    return SolveResult(True, tuple(colors[v] for v in lines), result.stats)
 
 
 # ---------------------------------------------------------------------------

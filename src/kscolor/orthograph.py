@@ -10,8 +10,9 @@ constraint and are counted separately in the stats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .vectors import Vec3, VectorSet, dot
+from .vectors import Vec3, VectorSet
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -57,24 +58,25 @@ class OrthoGraph:
         )
 
 
-def build_graph(s: VectorSet) -> OrthoGraph:
-    """Orthogonality graph of a vector set, deterministic given the set."""
+def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
+    """Orthogonality graph of a vector set, deterministic given the set.
+
+    Vectors u, v are orthogonal when u.v = 0, or with a prime p, when
+    u.v = 0 mod p (the vectors then stand for lines of F_p^3).
+    """
     vecs = s.vectors
-    n = len(vecs)
+    later: list[set[int]] = []  # later[i]: the j > i orthogonal to vertex i
     edges = []
-    adjacent = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dot(vecs[i], vecs[j]) == 0:
-                edges.append((i, j))
-                adjacent[i].add(j)
-                adjacent[j].add(i)
-    triples = []
-    for i, j in edges:
-        for k in sorted(adjacent[i] & adjacent[j]):
-            if k > j:
-                triples.append((i, j, k))
-    return OrthoGraph(s, tuple(edges), tuple(sorted(triples)))
+    for i, (a, b, c) in enumerate(vecs):
+        rest = enumerate(vecs[i + 1:], i + 1)
+        if p is None:
+            row = [j for j, (x, y, z) in rest if a * x + b * y + c * z == 0]
+        else:
+            row = [j for j, (x, y, z) in rest if (a * x + b * y + c * z) % p == 0]
+        edges.extend((i, j) for j in row)
+        later.append(set(row))
+    triples = [(i, j, k) for i, j in edges for k in sorted(later[i] & later[j])]
+    return OrthoGraph(s, tuple(edges), tuple(triples))
 
 
 def graph_stats(g: OrthoGraph) -> GraphStats:

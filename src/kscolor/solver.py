@@ -9,8 +9,8 @@ value order is 1 then 0.  Everything is deterministic.
 
 A 2^n brute-force oracle and a CNF export (with its own tiny brute-force
 satisfiability check) provide independent routes to the same verdicts.
-A generic DPLL over clause lists is also provided; the finite-field module
-uses it for constraints that are not pair/triple shaped.
+A generic DPLL over clause lists is also provided as a reference engine
+for constraints that are not pair/triple shaped.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def solve(g: OrthoGraph, wlog: bool = False) -> SolveResult:
     fixed = _wlog_fixed(g) if wlog else []
     search = _Search(len(g), g.edges, g.triples)
     result = search.run(fixed)
-    if result.satisfiable:
-        assert verify_coloring(g, result.coloring)
+    if result.satisfiable and not verify_coloring(g, result.coloring):
+        raise RuntimeError("search returned a coloring that violates a constraint")
     return result
 
 

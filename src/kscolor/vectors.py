@@ -10,6 +10,7 @@ write is byte-reproducible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -147,6 +148,14 @@ def signed_permutations() -> list[SignedPermutation]:
     return mats
 
 
+#: Swap x and y, cycle x -> y -> z, negate x: together they generate all 48.
+SYMMETRY_GENERATORS: tuple[SignedPermutation, ...] = (
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+)
+
+
 def apply_symmetry(g: SignedPermutation, v: Vec3) -> Vec3:
     """Image of a canonical vector under g, re-canonicalized."""
     if not is_signed_permutation(g):
@@ -162,7 +171,8 @@ def apply_symmetry(g: SignedPermutation, v: Vec3) -> Vec3:
 class VectorSet:
     """Ordered, duplicate-free collection of canonical vectors.
 
-    Collinear or duplicate inputs are merged on ingestion.  Metadata is
+    The vectors must be canonical and strictly increasing; `from_iterable`
+    canonicalizes, merges collinear or duplicate inputs and sorts.  Metadata is
     carried for honest file headers: `n_divisor` is the squarefree N of a
     height-bounded slice, `height` its bound, `name` a display label.
     """
@@ -171,6 +181,15 @@ class VectorSet:
     name: Optional[str] = None
     n_divisor: Optional[int] = None
     height: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        vecs = self.vectors
+        for v in vecs:
+            if canonicalize(v) != v:
+                raise ValueError(f"{v} is not in canonical form")
+        for u, v in zip(vecs, vecs[1:]):
+            if not u < v:
+                raise ValueError(f"vectors not strictly increasing at {u}, {v}")
 
     @classmethod
     def from_iterable(
@@ -190,7 +209,8 @@ class VectorSet:
         return iter(self.vectors)
 
     def __contains__(self, v: Vec3) -> bool:
-        return v in set(self.vectors)
+        i = bisect_left(self.vectors, v)
+        return i < len(self.vectors) and self.vectors[i] == v
 
     def index_of(self, v: Vec3) -> int:
         return self.vectors.index(v)
@@ -199,12 +219,16 @@ class VectorSet:
         return VectorSet.from_iterable(self.vectors + other.vectors, name=name)
 
     def is_symmetry_invariant(self) -> bool:
-        """True iff the set is fixed (setwise) by all 48 signed permutations."""
+        """True iff the set is fixed (setwise) by all 48 signed permutations.
+
+        Checked on the three generators of that group: each maps lines
+        one-to-one, so mapping the set into itself fixes it."""
         vs = set(self.vectors)
-        for g in signed_permutations():
-            if {apply_symmetry(g, v) for v in vs} != vs:
-                return False
-        return True
+        return all(
+            canonicalize(apply_matrix(g, v)) in vs
+            for g in SYMMETRY_GENERATORS
+            for v in vs
+        )
 
 
 def _well_signed_with_norm(n: int) -> list[Vec3]:

@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import kscolor
 
 from kscolor.cli import main
 from kscolor.vectors import build_Q, format_vector_set, load_vector_set
@@ -162,3 +169,13 @@ def test_round_trip_verdict_stability(tmp_path, capsys):
     again.write_text(out.read_text())
     assert main(["solve", str(again)]) == first
     assert capsys.readouterr().out == out_text
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(kscolor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, kscolor.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

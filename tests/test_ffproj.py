@@ -7,20 +7,103 @@ from kscolor.ffproj import (
     IDENTITY,
     ZERO,
     ProjAlgebra,
-    bezout_check,
     enumerate_projections,
     format_projections,
-    is_projection,
-    mat_mul,
-    mat_rank,
-    mat_sub,
     parse_projections,
     project_mod_p,
     reduce_set_mod_p,
     restricted_ks_search,
     search_ba_coloring,
 )
-from kscolor.vectors import VectorSet, build_Q, build_Qn, norm_sq
+from kscolor.solver import solve_cnf
+from kscolor.vectors import build_Q, build_Qn, norm_sq
+
+# ---------------------------------------------------------------------------
+# Matrix oracles: 3x3 matrices over F_p, row-major, by plain arithmetic.
+# They are independent of the package's route through lines mod p.
+
+
+def mat_mul(a, b, p):
+    return tuple(
+        sum(a[3 * i + k] * b[3 * k + j] for k in range(3)) % p
+        for i in range(3)
+        for j in range(3)
+    )
+
+
+def mat_add(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def mat_sub(a, b, p):
+    return tuple((x - y) % p for x, y in zip(a, b))
+
+
+def mat_rank(a, p):
+    rows = [list(a[0:3]), list(a[3:6]), list(a[6:9])]
+    rank = 0
+    col = 0
+    while col < 3 and rank < 3:
+        pivot = next((r for r in range(rank, 3) if rows[r][col] % p != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for r in range(3):
+            if r != rank and rows[r][col] % p != 0:
+                factor = rows[r][col]
+                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def is_projection(a, p):
+    symmetric = a[1] == a[3] and a[2] == a[6] and a[5] == a[7]
+    return symmetric and mat_mul(a, a, p) == a
+
+
+def commute(a, b, p):
+    return mat_mul(a, b, p) == mat_mul(b, a, p)
+
+
+def scan_projections(p):
+    """Every symmetric idempotent, by scanning all p^6 symmetric matrices."""
+    found = []
+    for a, b, c, d, e, f in product(range(p), repeat=6):
+        m = (a, d, e, d, b, f, e, f, c)
+        if mat_mul(m, m, p) == m:
+            found.append(m)
+    return tuple(sorted(found))
+
+
+def clause_encoding(algebra):
+    """Two-valued homomorphism laws as CNF: 0 -> 0, I -> 1, and for every
+    commuting pair the meet maps to the product and the join to the Boolean
+    sum of the images (which subsumes the complement law via (e, I - e))."""
+    p = algebra.p
+    projs = algebra.projections
+    index = {m: i for i, m in enumerate(projs)}
+    clauses = {(-(index[ZERO] + 1),), (index[IDENTITY] + 1,)}
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            a, b = projs[i], projs[j]
+            ab = mat_mul(a, b, p)
+            if ab != mat_mul(b, a, p):
+                continue
+            vi, vj = i + 1, j + 1
+            vg = index[ab] + 1
+            vh = index[mat_sub(mat_add(a, b, p), ab, p)] + 1
+            clauses.add(tuple(sorted((-vg, vi))))
+            clauses.add(tuple(sorted((-vg, vj))))
+            clauses.add(tuple(sorted((vg, -vi, -vj))))
+            clauses.add(tuple(sorted((vh, -vi))))
+            clauses.add(tuple(sorted((vh, -vj))))
+            clauses.add(tuple(sorted((-vh, vi, vj))))
+    return len(projs), sorted(clauses)
+
 
 # Total projection counts, first derived from the exhaustive symmetric-matrix
 # scan and cross-checked against the non-isotropic line count below.
@@ -59,9 +142,18 @@ def test_projection_counts(algebras, p):
     assert len(algebras[p]) == PROJ_COUNTS[p]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_enumeration_matches_exhaustive_scan(algebras, p):
+    assert algebras[p].projections == scan_projections(p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_rank1_count_matches_line_count(algebras, p):
     ranks = algebras[p].rank_counts()
+    oracle: dict[int, int] = {}
+    for m in algebras[p].projections:
+        oracle[mat_rank(m, p)] = oracle.get(mat_rank(m, p), 0) + 1
+    assert ranks == oracle
     lines = _nonisotropic_line_count(p)
     assert ranks.get(1, 0) == lines
     # rank 2 elements are the complements of rank 1 elements
@@ -90,12 +182,12 @@ def test_enumeration_guards():
 def _check_homomorphism(a: ProjAlgebra, model):
     p = a.p
     index = {m: i for i, m in enumerate(a.projections)}
-    assert model[a.zero_index] == 0 and model[a.identity_index] == 1
+    assert model[index[ZERO]] == 0 and model[index[IDENTITY]] == 1
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
-            if not a.commute(i, j):
-                continue
             e, f = a.projections[i], a.projections[j]
+            if not commute(e, f, p):
+                continue
             meet = mat_mul(e, f, p)
             join = tuple((e[k] + f[k] - meet[k]) % p for k in range(9))
             assert model[index[meet]] == model[i] * model[j]
@@ -111,6 +203,21 @@ def test_ba_coloring_exists_for_small_primes(algebras, p):
 
 def test_ba_coloring_absent_mod_five(algebras):
     assert not search_ba_coloring(algebras[5]).satisfiable
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_ba_coloring_matches_clause_oracle(algebras, p):
+    algebra = algebras[p] if p in algebras else enumerate_projections(p)
+    model = solve_cnf(*clause_encoding(algebra))
+    result = search_ba_coloring(algebra)
+    assert result.satisfiable == (model is not None)
+    if result.satisfiable:
+        _check_homomorphism(algebra, result.coloring)
+
+
+def test_ba_coloring_reports_search_stats(algebras):
+    stats = search_ba_coloring(algebras[5]).stats
+    assert stats.nodes > 0 and stats.propagations > 0
 
 
 def test_project_mod_p_diag():
@@ -191,9 +298,22 @@ def test_restricted_search_empty():
     assert restricted_ks_search([], None).satisfiable
 
 
+def test_restricted_search_colors_each_input():
+    # the coloring follows the input order, duplicates included
+    reduced = reduce_set_mod_p(build_Qn(1), 11)
+    projs = list(reversed(reduced.projections)) + [reduced.projections[0]]
+    result = restricted_ks_search(projs, 11)
+    assert result.satisfiable and sum(result.coloring[:3]) == 1
+    assert result.coloring[3] == result.coloring[2]
+
+
 def test_restricted_search_rejects_non_rank1():
     with pytest.raises(ValueError):
         restricted_ks_search([IDENTITY], 5)
+    e = project_mod_p((1, 1, 0), 5)
+    for m in (ZERO, mat_sub(IDENTITY, e, 5), (2, 0, 0, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="not a rank-1 projection"):
+            restricted_ks_search([e, m], 5)
 
 
 def test_ba_coloring_restricts_to_rank1_coloring(algebras):
@@ -213,9 +333,6 @@ def test_ba_coloring_restricts_to_rank1_coloring(algebras):
 def test_bezout_check():
     assert 31 * 5 - 2 * 77 == 1
     assert (-2 * 77) % 5 == 1  # the 5I term vanishes mod 5
-    assert bezout_check()
-    with pytest.raises(ValueError):
-        bezout_check(sample_primes=(7,))
 
 
 def test_projection_file_round_trip(algebras):

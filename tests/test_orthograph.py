@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -70,6 +70,29 @@ def test_slices_match_oracle(n_divisor, height):
     edges, triples = _oracle(g.vectors)
     assert set(g.edges) == edges
     assert set(g.triples) == triples
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_graph_mod_p_matches_oracle(p):
+    # representatives of the non-isotropic lines of F_p^3
+    lines = [
+        v
+        for v in product(range(p), repeat=3)
+        if v != (0, 0, 0) and next(x for x in v if x) == 1 and dot(v, v) % p
+    ]
+    g = build_graph(VectorSet(tuple(lines)), p)
+    n = len(lines)
+    orth = {
+        (i, j) for i, j in combinations(range(n), 2) if dot(lines[i], lines[j]) % p == 0
+    }
+    assert set(g.edges) == orth and list(g.edges) == sorted(orth)
+    assert list(g.triples) == sorted(
+        (i, j, k)
+        for i, j, k in combinations(range(n), 3)
+        if {(i, j), (i, k), (j, k)} <= orth
+    )
+    # every orthogonal pair of non-isotropic lines completes to a triple
+    assert graph_stats(g).bare_edges == 0 and 3 * len(g.triples) == len(g.edges)
 
 
 def test_triples_are_edge_closed():

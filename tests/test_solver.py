@@ -3,8 +3,11 @@ import random
 import pytest
 
 from kscolor.orthograph import build_graph, graph_stats
+from kscolor import solver
 from kscolor.solver import (
     CnfFormula,
+    SolveResult,
+    SolveStats,
     cnf_bruteforce_satisfiable,
     export_cnf,
     format_coloring,
@@ -53,6 +56,15 @@ def test_solve_empty():
     g = build_graph(VectorSet(()))
     r = solve(g)
     assert r.satisfiable and r.coloring == ()
+
+
+def test_solve_rejects_a_wrong_coloring(monkeypatch):
+    # the check must not be an assert, which python -O strips
+    g = build_graph(build_Qn(1))
+    wrong = SolveResult(True, (1, 1, 1), SolveStats())
+    monkeypatch.setattr(solver._Search, "run", lambda self, fixed=(): wrong)
+    with pytest.raises(RuntimeError, match="violates"):
+        solve(g)
 
 
 def test_solve_Q_unsat():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from kscolor.vectors import (
     Q_BLOCK_NORMS,
+    SYMMETRY_GENERATORS,
     VectorSet,
     apply_matrix,
     apply_symmetry,
@@ -161,6 +162,46 @@ def test_Q_invariant_under_signed_permutations():
     q = set(build_Q())
     for g in signed_permutations():
         assert {apply_symmetry(g, v) for v in q} == q
+    assert build_Q().is_symmetry_invariant()
+
+
+def _mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def test_symmetry_generators_generate_all_signed_permutations():
+    group = set(SYMMETRY_GENERATORS)
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in SYMMETRY_GENERATORS:
+            gh = _mat_mul(g, h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    assert group == set(signed_permutations())
+
+
+def test_symmetry_invariance_detects_each_generator():
+    # each set is fixed by two of the generators and moved by the third
+    xy_plane = VectorSet.from_iterable([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)])
+    assert not xy_plane.is_symmetry_invariant()  # moved by the 3-cycle
+    diagonal = VectorSet.from_iterable([(1, 1, 1)])
+    assert not diagonal.is_symmetry_invariant()  # moved by negating x
+    cyclic = VectorSet.from_iterable(
+        (s * a, t * b, u * c)
+        for a, b, c in [(1, 2, 3), (3, 1, 2), (2, 3, 1)]
+        for s, t, u in product((1, -1), repeat=3)
+    )
+    assert not cyclic.is_symmetry_invariant()  # moved by swapping x and y
+    for s, moved_by in ((xy_plane, 1), (diagonal, 2), (cyclic, 0)):
+        for n, g in enumerate(SYMMETRY_GENERATORS):
+            image = {canonicalize(apply_matrix(g, v)) for v in s}
+            assert (image == set(s)) == (n != moved_by)
+    assert build_Qn(1).is_symmetry_invariant()
 
 
 def test_apply_symmetry():
@@ -263,6 +304,27 @@ def test_vector_set_merges_collinear():
 def test_vector_set_order_is_sorted():
     s = build_Q()
     assert list(s.vectors) == sorted(s.vectors)
+
+
+def test_vector_set_rejects_duplicates_and_non_canonical():
+    # a duplicated vertex used to slip through the raw constructor
+    with pytest.raises(ValueError, match="strictly increasing"):
+        VectorSet(((0, 0, 1), (0, 0, 1)))
+    with pytest.raises(ValueError, match="canonical"):
+        VectorSet(((2, 0, 0), (0, 0, 1), (0, 0, 1)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        VectorSet(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="canonical"):
+        VectorSet(((-1, 0, 0),))
+    with pytest.raises(ValueError):
+        VectorSet(((0, 0, 0),))
+
+
+def test_vector_set_membership():
+    s = build_Q()
+    assert all(v in s for v in s)
+    assert (2, 0, 0) not in s and (0, 0, 0) not in s and (9, 9, 9) not in s
+    assert (1, 0, 0) not in VectorSet(())
 
 
 def test_file_round_trip_bit_exact():
