@@ -34,7 +34,8 @@ from .orthograph import OrthoGraph
 from .vectors import (
     SignedPermutation,
     Vec3,
-    apply_symmetry,
+    apply_matrix,
+    canonicalize,
     is_signed_permutation,
 )
 
@@ -77,24 +78,23 @@ class CertResult:
         return self.valid
 
 
-def _context_key(g: OrthoGraph, context: tuple[Vec3, ...]):
-    """Index tuple of the context if it is an edge/triple of g, else None."""
-    idx = {v: i for i, v in enumerate(g.vectors)}
-    if any(v not in idx for v in context):
+def _context_key(
+    index: dict[Vec3, int], constraints: set[tuple[int, ...]], context: tuple[Vec3, ...]
+):
+    """Index tuple of the context if it is an edge/triple of the graph, else None.
+
+    `index` maps each vertex to its index, `constraints` holds the graph's
+    edges and triples."""
+    if any(v not in index for v in context):
         return None
-    key = tuple(sorted(idx[v] for v in context))
-    if len(key) != len(set(key)):
-        return None
-    if len(key) == 2:
-        return key if key in set(g.edges) else None
-    if len(key) == 3:
-        return key if key in set(g.triples) else None
-    return None
+    key = tuple(sorted(index[v] for v in context))
+    return key if key in constraints else None
 
 
 def verify_certificate(g: OrthoGraph, cert: Certificate) -> CertResult:
     """Replay a certificate against a graph; every step is re-checked."""
-    vertex_set = set(g.vectors)
+    index = {v: i for i, v in enumerate(g.vectors)}
+    constraints = set(g.edges) | set(g.triples)
     assigned: dict[Vec3, int] = {}
     forced: dict[Vec3, set[int]] = {}
 
@@ -103,25 +103,26 @@ def verify_certificate(g: OrthoGraph, cert: Certificate) -> CertResult:
 
     for i, step in enumerate(cert.steps):
         if isinstance(step, WlogFix):
-            if step.vertex not in vertex_set:
+            if step.vertex not in index:
                 return fail(i, f"vertex {step.vertex} not in graph")
             if step.vertex in assigned:
                 return fail(i, f"vertex {step.vertex} already assigned")
             for alt_vertex, gmat in step.alternatives:
-                if alt_vertex not in vertex_set:
+                if alt_vertex not in index:
                     return fail(i, f"alternative {alt_vertex} not in graph")
                 if not is_signed_permutation(gmat):
                     return fail(i, "witness is not a signed permutation matrix")
-                image = {apply_symmetry(gmat, v) for v in vertex_set}
-                if image != vertex_set:
+                # gmat is a signed permutation, so its images need no re-check
+                image = {canonicalize(apply_matrix(gmat, v)) for v in index}
+                if image != index.keys():
                     return fail(i, "witness does not map the vertex set onto itself")
-                if apply_symmetry(gmat, alt_vertex) != step.vertex:
+                if canonicalize(apply_matrix(gmat, alt_vertex)) != step.vertex:
                     return fail(
                         i,
                         f"witness does not map {alt_vertex} to {step.vertex}",
                     )
                 for u, c in assigned.items():
-                    w = apply_symmetry(gmat, u)
+                    w = canonicalize(apply_matrix(gmat, u))
                     if assigned.get(w) != c:
                         return fail(
                             i,
@@ -131,7 +132,7 @@ def verify_certificate(g: OrthoGraph, cert: Certificate) -> CertResult:
             assigned[step.vertex] = step.color
             forced.setdefault(step.vertex, set()).add(step.color)
         elif isinstance(step, Propagate):
-            key = _context_key(g, step.context)
+            key = _context_key(index, constraints, step.context)
             if key is None:
                 return fail(i, f"context {step.context} is not an edge/triple of the graph")
             if step.vertex not in step.context:
@@ -154,7 +155,7 @@ def verify_certificate(g: OrthoGraph, cert: Certificate) -> CertResult:
                 if forced.get(step.vertex) != {0, 1}:
                     return fail(i, f"vertex {step.vertex} is not forced to both colors")
             elif step.context is not None:
-                key = _context_key(g, step.context)
+                key = _context_key(index, constraints, step.context)
                 if key is None:
                     return fail(i, "cited context is not in the graph")
                 colors = [assigned.get(v) for v in step.context]

@@ -18,6 +18,7 @@ p not dividing their norm reduce to rank-1 projections q(v)^-1 v v^T mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .orthograph import build_graph
@@ -32,6 +33,7 @@ ZERO: Mat = (0, 0, 0, 0, 0, 0, 0, 0, 0)
 IDENTITY: Mat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -135,33 +135,28 @@ class _Search:
         return best
 
     def run(self, fixed: Sequence[tuple[int, int]] = ()) -> SolveResult:
-        import sys
-
+        stats = self.stats
         for v, c in fixed:
             if not self._set(v, c):
-                return SolveResult(False, None, self.stats)
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, self.n * 4 + 100))
-        try:
-            if self._dfs(0):
-                coloring = tuple(self.assign)  # type: ignore[arg-type]
-                return SolveResult(True, coloring, self.stats)
-            return SolveResult(False, None, self.stats)
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-    def _dfs(self, depth: int) -> bool:
-        self.stats.max_depth = max(self.stats.max_depth, depth)
-        v = self._pick()
-        if v is None:
-            return True
-        for value in (1, 0):
-            self.stats.nodes += 1
+                return SolveResult(False, None, stats)
+        path: list[tuple[int, int, int]] = []  # (vertex, value, trail mark) per decision
+        v, value = self._pick(), 1
+        while v is not None:
+            stats.nodes += 1
             mark = len(self.trail)
-            if self._set(v, value) and self._dfs(depth + 1):
-                return True
+            if self._set(v, value):
+                path.append((v, value, mark))
+                stats.max_depth = max(stats.max_depth, len(path))
+                v, value = self._pick(), 1
+                continue
             self._undo(mark)
-        return False
+            while value == 0:  # 0 failed too: back up to the latest decision at 1
+                if not path:
+                    return SolveResult(False, None, stats)
+                v, value, mark = path.pop()
+                self._undo(mark)
+            value = 0
+        return SolveResult(True, tuple(self.assign), stats)  # type: ignore[arg-type]
 
 
 def _wlog_fixed(g: OrthoGraph) -> list[tuple[int, int]]:
@@ -352,32 +347,31 @@ def solve_cnf(num_vars: int, clauses: Sequence[Sequence[int]]) -> Optional[tuple
                 false_count[ci] -= 1
             assign[v] = None
 
-    def dfs() -> bool:
-        v = next((u for u in order if assign[u] is None), None)
-        if v is None:
-            return True
-        for value in (1, 0):
-            mark = len(trail)
-            if set_var(v, value) and dfs():
-                return True
+    def next_free() -> Optional[int]:
+        return next((u for u in order if assign[u] is None), None)
+
+    path: list[tuple[int, int, int]] = []  # (variable, value, trail mark) per decision
+    v, value = next_free(), 1
+    while v is not None:
+        mark = len(trail)
+        if set_var(v, value):
+            path.append((v, value, mark))
+            v, value = next_free(), 1
+            continue
+        undo(mark)
+        while value == 0:  # 0 failed too: back up to the latest decision at 1
+            if not path:
+                return None
+            v, value, mark = path.pop()
             undo(mark)
-        return False
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, num_vars * 4 + 100))
-    try:
-        if dfs():
-            model = tuple(assign[v] for v in range(1, num_vars + 1))
-            assert all(
-                any(model[abs(l) - 1] == (1 if l > 0 else 0) for l in clause)
-                for clause in clause_list
-            )
-            return model
-        return None
-    finally:
-        sys.setrecursionlimit(old_limit)
+        value = 0
+    model = tuple(assign[v] for v in range(1, num_vars + 1))
+    if not all(
+        any(model[abs(l) - 1] == (1 if l > 0 else 0) for l in clause)
+        for clause in clause_list
+    ):
+        raise RuntimeError("DPLL returned a model that violates a clause")
+    return model
 
 
 # ---------------------------------------------------------------------------

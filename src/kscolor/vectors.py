@@ -231,42 +231,23 @@ class VectorSet:
         )
 
 
-def _well_signed_with_norm(n: int) -> list[Vec3]:
-    bound = math.isqrt(n)
-    out = []
-    for v in product(range(-bound, bound + 1), repeat=3):
-        if v == (0, 0, 0) or norm_sq(v) != n:
-            continue
-        if is_primitive(v) and is_well_signed(v):
-            out.append(v)
-    return sorted(out)
-
-
-def _well_signed_with_multiset(entries: tuple[int, int, int]) -> list[Vec3]:
-    out = set()
-    for perm in permutations(entries):
-        for signs in product((1, -1), repeat=3):
-            v = tuple(s * e for s, e in zip(signs, perm))
-            if is_well_signed(v):
-                out.add(v)
-    return sorted(out)
-
-
 def build_Qn(n: int) -> VectorSet:
     """One of the seven named blocks Q_1 ... Q_77.
 
-    Blocks 1, 2, 3, 6, 21 are all well-signed primitive vectors of that
-    norm.  Blocks 33 and 77 are cut down to the absolute-entry multisets
+    Blocks 1, 2, 3, 6, 21 are all lines of that norm; the norm is
+    squarefree, so each of its vectors is primitive.  Blocks 33 and 77 are
+    cut down to the signed permutations of the absolute-entry multisets
     {2,2,5} and {2,3,8}; vectors like (1,4,4) or (4,5,6) with the right
     norm are deliberately absent.
     """
     if n not in Q_BLOCK_NORMS:
         raise ValueError(f"no construction block for norm {n}")
     if n in _MULTISET_BLOCKS:
-        vecs = _well_signed_with_multiset(_MULTISET_BLOCKS[n])
+        vecs = [apply_matrix(g, _MULTISET_BLOCKS[n]) for g in signed_permutations()]
     else:
-        vecs = _well_signed_with_norm(n)
-    return VectorSet(tuple(vecs), name=f"Q_{n}")
+        cube = range(-math.isqrt(n), math.isqrt(n) + 1)
+        vecs = [v for v in product(cube, repeat=3) if norm_sq(v) == n]
+    return VectorSet.from_iterable(vecs, name=f"Q_{n}")
 
 
 def build_Q() -> VectorSet:
@@ -283,21 +264,20 @@ def enumerate_S(n_divisor: int, height: int) -> VectorSet:
     All canonical vectors v with max |entry| <= height whose norm's radical
     divides the squarefree N.  The full S(N) is infinite; a bounded slice
     is only conclusive upward for UNSAT verdicts.
+
+    A non-primitive point stands for its primitive part, which lies in the
+    cube and has an admissible norm too, so no point needs filtering out.
     """
     if not is_squarefree(n_divisor):
         raise ValueError(f"N must be squarefree, got {n_divisor} (pass radical(N))")
     if height < 1:
         raise ValueError("height bound must be >= 1")
-    out = []
-    for v in product(range(-height, height + 1), repeat=3):
-        if v == (0, 0, 0):
-            continue
-        if not (is_primitive(v) and is_well_signed(v)):
-            continue
-        if n_divisor % radical(norm_sq(v)) == 0:
-            out.append(v)
-    return VectorSet(
-        tuple(sorted(out)),
+    admissible = {
+        q for q in range(1, 3 * height * height + 1) if n_divisor % radical(q) == 0
+    }
+    cube = range(-height, height + 1)
+    return VectorSet.from_iterable(
+        (v for v in product(cube, repeat=3) if norm_sq(v) in admissible),
         name=f"S({n_divisor})|H={height}",
         n_divisor=n_divisor,
         height=height,

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -285,6 +286,18 @@ def test_reduce_Q_mod_seven_rejected():
 def test_restricted_search_Q_mod_five_unsat():
     reduced = reduce_set_mod_p(build_Q(), 5)
     assert not restricted_ks_search(reduced.projections, 5).satisfiable
+
+
+def test_reduction_mod_a_large_prime_tests_primality_once():
+    # |u.v| <= 77 < p on Q, so orthogonality mod p is orthogonality over Z
+    p = 1000000000039
+    start = time.perf_counter()
+    reduced = reduce_set_mod_p(build_Q(), p)
+    result = restricted_ks_search(reduced.projections, p)
+    elapsed = time.perf_counter() - start
+    assert len(reduced.projections) == 85 and not reduced.collided
+    assert not result.satisfiable
+    assert elapsed < 5.0, f"{elapsed:.1f} s"
 
 
 def test_restricted_search_basis_mod_eleven_sat():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -65,6 +66,22 @@ def test_solve_rejects_a_wrong_coloring(monkeypatch):
     monkeypatch.setattr(solver._Search, "run", lambda self, fixed=(): wrong)
     with pytest.raises(RuntimeError, match="violates"):
         solve(g)
+
+
+def test_deep_search_leaves_the_recursion_limit_alone(monkeypatch):
+    # Both searches must run without process-global state: a limit restored
+    # by another thread would cut short a search deeper than the default.
+    def refuse(limit):
+        raise RuntimeError("search changed the interpreter's recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    g = build_graph(enumerate_S(35, 50))
+    r = solve(g)
+    assert r.satisfiable
+    assert (r.stats.nodes, r.stats.propagations, r.stats.max_depth) == (488, 583, 488)
+    cnf = export_cnf(g)
+    model = solve_cnf(cnf.num_vars, cnf.clauses)
+    assert model is not None and verify_coloring(g, model)
 
 
 def test_solve_Q_unsat():

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,6 +123,31 @@ def test_block_sizes_and_invariants(n):
     for v in block:
         assert norm_sq(v) == n
         assert is_primitive(v) and is_well_signed(v)
+
+
+def _block_oracle(n):
+    """Block n built apart from build_Qn: the well-signed members of the
+    multiset's signed permutations, or the primitive well-signed points of
+    norm n in the cube of half-width isqrt(n)."""
+    multisets = {33: (2, 2, 5), 77: (2, 3, 8)}
+    if n in multisets:
+        vecs = {
+            tuple(s * e for s, e in zip(signs, perm))
+            for perm in permutations(multisets[n])
+            for signs in product((1, -1), repeat=3)
+        }
+        return sorted(v for v in vecs if is_well_signed(v))
+    b = math.isqrt(n)
+    return sorted(
+        v
+        for v in product(range(-b, b + 1), repeat=3)
+        if norm_sq(v) == n and is_primitive(v) and is_well_signed(v)
+    )
+
+
+@pytest.mark.parametrize("n", Q_BLOCK_NORMS)
+def test_block_against_oracle(n):
+    assert build_Qn(n) == VectorSet(tuple(_block_oracle(n)), name=f"Q_{n}")
 
 
 def test_block_explicit_small_sets():
@@ -267,7 +292,9 @@ def test_enumerate_S_height_one():
     assert set(s) == _enumerate_S_oracle(2, 1)
 
 
-@pytest.mark.parametrize("n_divisor,height", [(2, 3), (6, 4), (30, 3), (462, 4)])
+@pytest.mark.parametrize(
+    "n_divisor,height", [(2, 3), (6, 4), (30, 3), (462, 4), (35, 6), (455, 5), (1, 4)]
+)
 def test_enumerate_S_against_oracle(n_divisor, height):
     assert set(enumerate_S(n_divisor, height)) == _enumerate_S_oracle(n_divisor, height)
 
