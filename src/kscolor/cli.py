@@ -134,7 +134,11 @@ def cmd_certify(args) -> int:
 
 def cmd_ffproj(args) -> int:
     p = args.p
-    if not ffproj.is_prime(p):
+    try:
+        prime = ffproj.is_prime(p)
+    except ValueError as exc:
+        raise DomainError(str(exc))
+    if not prime:
         raise DomainError(f"{p} is not prime")
     if args.reduce:
         s = _load_set(args.reduce)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,13 @@ def test_ffproj_reduce_divisible_norm(q_file, capsys):
 
 def test_ffproj_not_prime(capsys):
     assert main(["ffproj", "--p", "6"]) == 1
+
+
+def test_ffproj_refuses_a_prime_it_cannot_test(q_file, capsys):
+    start = time.perf_counter()
+    assert main(["ffproj", "--p", "10000000000000000000000013", "--reduce", q_file]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "cannot decide whether 10000000000000000000000013 is prime" in capsys.readouterr().err
 
 
 def test_stats(q_file, capsys):

@@ -6,10 +6,12 @@ import pytest
 
 from kscolor.ffproj import (
     IDENTITY,
+    MILLER_RABIN_BOUND,
     ZERO,
     ProjAlgebra,
     enumerate_projections,
     format_projections,
+    is_prime,
     parse_projections,
     project_mod_p,
     reduce_set_mod_p,
@@ -171,6 +173,35 @@ def test_all_are_projections_and_complement_closed(algebras, p):
         comp = mat_sub(IDENTITY, e, p)
         assert comp in members
         assert mat_mul(e, comp, p) == ZERO
+
+
+def test_is_prime_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [
+        n for n in range(-3, 5000) if trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2 .. 31
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+
+
+def test_is_prime_large_prime_is_fast():
+    start = time.perf_counter()
+    assert is_prime(10**15 + 37)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    assert not is_prime(MILLER_RABIN_BOUND - 1)  # divisible by 5
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(MILLER_RABIN_BOUND)
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(10**25 + 13)
 
 
 def test_enumeration_guards():

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kscolor.orthograph import GraphStats, build_graph, graph_stats, to_dot
 from kscolor.vectors import (
@@ -9,6 +10,7 @@ from kscolor.vectors import (
     apply_symmetry,
     build_Q,
     build_Qn,
+    canonicalize,
     dot,
     enumerate_S,
     signed_permutations,
@@ -21,21 +23,31 @@ Q_TRIPLES = 40
 Q_BARE_EDGES = 60
 
 
-def _oracle(vecs):
-    """Exhaustive pairwise/triple dot-product scan."""
+def _oracle(vecs, p=None):
+    """Exhaustive pairwise/triple dot-product scan, over Z or mod p."""
+
+    def orth(u, v):
+        return dot(u, v) % p == 0 if p else dot(u, v) == 0
+
     edges = {
         (i, j)
         for i, j in combinations(range(len(vecs)), 2)
-        if dot(vecs[i], vecs[j]) == 0
+        if orth(vecs[i], vecs[j])
     }
     triples = {
         (i, j, k)
         for i, j, k in combinations(range(len(vecs)), 3)
-        if dot(vecs[i], vecs[j]) == 0
-        and dot(vecs[i], vecs[k]) == 0
-        and dot(vecs[j], vecs[k]) == 0
+        if orth(vecs[i], vecs[j]) and orth(vecs[i], vecs[k]) and orth(vecs[j], vecs[k])
     }
     return edges, triples
+
+
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
 
 
 def test_basis_triple_graph():
@@ -72,7 +84,68 @@ def test_slices_match_oracle(n_divisor, height):
     assert set(g.triples) == triples
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+entry = st.integers(-10**6, 10**6)
+nonzero_vec = st.tuples(entry, entry, entry).filter(lambda v: v != (0, 0, 0))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(nonzero_vec, nonzero_vec), min_size=1, max_size=10))
+def test_random_sets_match_oracle(pairs):
+    # u, w, c = u x w and u x c: c is orthogonal to u and w, and u, c, u x c
+    # are mutually orthogonal, so the sets have edges and triples
+    vecs = set()
+    for u, w in pairs:
+        c = _cross(u, w)
+        vecs.update([u, w] if c == (0, 0, 0) else [u, w, c, _cross(u, c)])
+    g = build_graph(VectorSet.from_iterable(vecs))
+    edges, triples = _oracle(g.vectors)
+    assert list(g.edges) == sorted(edges)
+    assert list(g.triples) == sorted(triples)
+
+
+def test_unreduced_slice_mod_p_matches_oracle():
+    s = enumerate_S(462, 3)
+    g = build_graph(s, 5)
+    edges, triples = _oracle(s.vectors, 5)
+    assert edges and triples
+    assert list(g.edges) == sorted(edges)
+    assert list(g.triples) == sorted(triples)
+
+
+def test_Q_mod_a_large_prime_matches_oracle():
+    # p + 1 is far above the 85 lines that occur, which are tested
+    # against each other instead of listing the lines orthogonal to each
+    p = 1000000000039
+    g = build_graph(build_Q(), p)
+    edges, triples = _oracle(g.vectors, p)
+    assert list(g.edges) == sorted(edges)
+    assert list(g.triples) == sorted(triples)
+    assert graph_stats(g) == GraphStats(85, Q_EDGES, Q_TRIPLES, Q_BARE_EDGES)
+
+
+def test_slice_graph_matches_pair_scan():
+    # the triples (i, j, k) are the edges (i, j) whose canonical cross
+    # product is a vertex k > j
+    s = enumerate_S(462, 16)
+    vecs = s.vectors
+    assert len(vecs) == 1081
+    g = build_graph(s)
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(vecs)), 2)
+        if dot(vecs[i], vecs[j]) == 0
+    ]
+    index = {v: k for k, v in enumerate(vecs)}
+    triples = []
+    for i, j in edges:
+        k = index.get(canonicalize(_cross(vecs[i], vecs[j])))
+        if k is not None and k > j:
+            triples.append((i, j, k))
+    assert list(g.edges) == edges
+    assert list(g.triples) == sorted(triples)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_graph_mod_p_matches_oracle(p):
     # representatives of the non-isotropic lines of F_p^3
     lines = [
