@@ -1,8 +1,8 @@
 """Command-line frontend.
 
-Exit codes: 0 success (SAT / Valid where relevant), 1 domain or input
-error, 2 negative verdict where a positive one was requested (UNSAT from
-`solve` and `ffproj`, Invalid from `certify`).
+Exit codes: 0 success (SAT / Valid where relevant), 1 usage, domain or
+input error, 2 negative verdict where a positive one was requested (UNSAT
+from `solve` and `ffproj`, Invalid from `certify`).
 """
 
 from __future__ import annotations
@@ -18,6 +18,19 @@ BUILD_NAMES = ("Q", "Q1", "Q2", "Q3", "Q6", "Q21", "Q33", "Q77", "S")
 
 class DomainError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit code 2 is a negative verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _build_set(args) -> vectors.VectorSet:
@@ -47,8 +60,7 @@ def cmd_build(args) -> int:
     s = _build_set(args)
     text = vectors.format_vector_set(s)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     print(f"{s.name or 'set'}: {len(s)} vectors", file=sys.stderr)
@@ -59,8 +71,7 @@ def cmd_graph(args) -> int:
     s = _load_set(args.input)
     g = orthograph.build_graph(s)
     if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(orthograph.to_dot(g))
+        _write(args.dot_out, orthograph.to_dot(g))
     else:
         sys.stdout.write(orthograph.to_dot(g))
     return 0
@@ -77,15 +88,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.brute and args.wlog:
+        raise DomainError("--wlog does not apply to --brute")
     s = _load_set(args.input)
     g = orthograph.build_graph(s)
     if args.cnf_out:
-        cnf = solver.export_cnf(g)
-        with open(args.cnf_out, "w", encoding="utf-8") as fh:
-            fh.write(solver.to_dimacs(cnf, g.vectors))
+        _write(args.cnf_out, solver.to_dimacs(solver.export_cnf(g), g.vectors))
     if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(orthograph.to_dot(g))
+        _write(args.dot_out, orthograph.to_dot(g))
     try:
         if args.brute:
             result = solver.solve_bruteforce(g)
@@ -97,8 +107,7 @@ def cmd_solve(args) -> int:
     if result.satisfiable:
         text = solver.format_coloring(g.vectors, result.coloring)
         if args.coloring_out:
-            with open(args.coloring_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(args.coloring_out, text)
         else:
             sys.stdout.write(text)
         return 0
@@ -146,32 +155,31 @@ def cmd_ffproj(args) -> int:
             reduced = ffproj.reduce_set_mod_p(s, p)
         except ValueError as exc:
             raise DomainError(str(exc))
-        result = ffproj.restricted_ks_search(reduced.projections, p)
+        projs = reduced.projections
         note = " (collisions merged)" if reduced.collided else ""
-        print(f"{len(reduced.projections)} rank-1 projections mod {p}{note}")
-        print(result.verdict)
-        return 0 if result.satisfiable else 2
-    try:
-        algebra = ffproj.enumerate_projections(p)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+        print(f"{len(projs)} rank-1 projections mod {p}{note}")
+        result = ffproj.restricted_ks_search(projs, p)
+    else:
+        try:
+            algebra = ffproj.enumerate_projections(p)
+        except ValueError as exc:
+            raise DomainError(str(exc))
+        projs = algebra.projections
+        ranks = algebra.rank_counts()
+        rank_desc = ", ".join(f"rank {r}: {ranks[r]}" for r in sorted(ranks))
+        print(f"{len(algebra)} projections over F_{p} ({rank_desc})")
+        result = ffproj.search_ba_coloring(algebra)
     if args.proj_out:
-        with open(args.proj_out, "w", encoding="utf-8") as fh:
-            fh.write(ffproj.format_projections(p, algebra.projections))
-    ranks = algebra.rank_counts()
-    rank_desc = ", ".join(f"rank {r}: {ranks[r]}" for r in sorted(ranks))
-    print(f"{len(algebra)} projections over F_{p} ({rank_desc})")
-    result = ffproj.search_ba_coloring(algebra)
+        _write(args.proj_out, ffproj.format_projections(p, projs))
     print(result.verdict)
     if result.satisfiable and args.coloring_out:
-        with open(args.coloring_out, "w", encoding="utf-8") as fh:
-            for m, c in zip(algebra.projections, result.coloring):
-                fh.write(" ".join(str(e) for e in m) + f" {c}\n")
+        _write(args.coloring_out, "".join(
+            " ".join(str(e) for e in m) + f" {c}\n" for m, c in zip(projs, result.coloring)))
     return 0 if result.satisfiable else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kscolor",
         description="Construct, solve, and certify Kochen-Specker colorability "
         "of integer 3-vector sets; enumerate finite-field projection algebras.",

@@ -4,8 +4,12 @@ The main engine is depth-first backtracking over {0,1} vertex values with
 full unit propagation after every decision: an orthogonal pair with a 1
 forces the partner to 0, a triple with two 0s forces the third to 1, a
 triple of three 0s (or a pair of two 1s) is a conflict.  Decision vertex is
-the one lying in the most unresolved triples, ties to the lowest index;
-value order is 1 then 0.  Everything is deterministic.
+the unassigned one lying in the most unresolved triples, ties to the lowest
+index; value order is 1 then 0.  Every decision is taken at a propagation
+fixpoint, where each neighbour of a 1 is 0.  The three pairs of a triple are
+edges, so no unassigned vertex then lies in a triple that holds a 1: its
+count is just its number of triples, and one static order serves every
+decision.  Everything is deterministic.
 
 A 2^n brute-force oracle and a CNF export (with its own tiny brute-force
 satisfiability check) provide independent routes to the same verdicts.
@@ -62,7 +66,6 @@ class _Search:
     """Backtracking state shared by the public solve entry points."""
 
     def __init__(self, n: int, edges, triples):
-        self.n = n
         self.assign: list[Optional[int]] = [None] * n
         self.trail: list[int] = []
         self.neighbors = [[] for _ in range(n)]
@@ -73,7 +76,7 @@ class _Search:
         for t in triples:
             for v in t:
                 self.vertex_triples[v].append(t)
-        self.triples = triples
+        self.order = sorted(range(n), key=lambda v: (-len(self.vertex_triples[v]), v))
         self.stats = SolveStats()
 
     def _set(self, v: int, c: int) -> bool:
@@ -120,19 +123,8 @@ class _Search:
             self.assign[self.trail.pop()] = None
 
     def _pick(self) -> Optional[int]:
-        """Unassigned vertex in the most unresolved triples, lowest index."""
-        assign = self.assign
-        best, best_score = None, -1
-        for v in range(self.n):
-            if assign[v] is not None:
-                continue
-            score = 0
-            for t in self.vertex_triples[v]:
-                if not any(assign[w] == 1 for w in t):
-                    score += 1
-            if score > best_score:
-                best, best_score = v, score
-        return best
+        """First unassigned vertex in the static decision order."""
+        return next((v for v in self.order if self.assign[v] is None), None)
 
     def run(self, fixed: Sequence[tuple[int, int]] = ()) -> SolveResult:
         stats = self.stats

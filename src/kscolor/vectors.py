@@ -112,8 +112,6 @@ def is_squarefree(n: int) -> bool:
 
 SignedPermutation = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
-IDENTITY: SignedPermutation = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
 
 def apply_matrix(g: SignedPermutation, v: Vec3) -> Vec3:
     return (

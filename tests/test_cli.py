@@ -9,7 +9,8 @@ import pytest
 import kscolor
 
 from kscolor.cli import main
-from kscolor.vectors import build_Q, format_vector_set, load_vector_set
+from kscolor.ffproj import parse_projections, reduce_set_mod_p
+from kscolor.vectors import build_Q, build_Qn, format_vector_set, load_vector_set
 
 
 @pytest.fixture()
@@ -77,6 +78,11 @@ def test_solve_brute_guard(q_file, capsys):
     assert "brute force" in capsys.readouterr().err
 
 
+def test_solve_refuses_brute_with_wlog(q_file, capsys):
+    assert main(["solve", q_file, "--brute", "--wlog"]) == 1
+    assert "--wlog" in capsys.readouterr().err
+
+
 def test_solve_side_outputs(tmp_path, q_file):
     cnf = tmp_path / "q.cnf"
     dotf = tmp_path / "q.dot"
@@ -136,6 +142,38 @@ def test_ffproj_reduce(q_file, capsys):
     assert main(["ffproj", "--p", "5", "--reduce", q_file]) == 2
     out = capsys.readouterr().out
     assert "25 rank-1 projections" in out and "UNSAT" in out
+
+
+def test_ffproj_stdout(q_file, capsys):
+    assert main(["ffproj", "--p", "5"]) == 2
+    assert capsys.readouterr().out == (
+        "52 projections over F_5 (rank 0: 1, rank 1: 25, rank 2: 25, rank 3: 1)\nUNSAT\n"
+    )
+    assert main(["ffproj", "--p", "13", "--reduce", q_file]) == 2
+    assert capsys.readouterr().out == "85 rank-1 projections mod 13\nUNSAT\n"
+
+
+def test_ffproj_reduce_writes_projections_and_coloring(tmp_path, capsys):
+    basis, projs, coloring = tmp_path / "q1.txt", tmp_path / "p.txt", tmp_path / "c.txt"
+    basis.write_text(format_vector_set(build_Qn(1)))
+    argv = ["ffproj", "--p", "5", "--reduce", str(basis),
+            "--proj-out", str(projs), "--coloring-out", str(coloring)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "3 rank-1 projections mod 5\nSAT\n"
+    expected = reduce_set_mod_p(build_Qn(1), 5).projections
+    assert parse_projections(projs.read_text()) == (5, expected)
+    rows = [line.split() for line in coloring.read_text().splitlines()]
+    assert [tuple(int(x) for x in row[:9]) for row in rows] == list(expected)
+    assert sorted(row[9] for row in rows) == ["0", "0", "1"]
+
+
+def test_usage_errors_exit_one(capsys):
+    # exit code 2 means UNSAT or Invalid, so argparse's own code is replaced
+    for argv in (["build", "X"], ["solve"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_ffproj_reduce_divisible_norm(q_file, capsys):

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -166,6 +167,99 @@ def test_verdict_invariant_under_relabeling():
         g = rng.choice(signed_permutations())
         mapped = VectorSet.from_iterable(apply_symmetry(g, v) for v in subset)
         assert solve(build_graph(mapped)).satisfiable == verdict
+
+
+# ---------------------------------------------------------------------------
+# Decision order
+
+
+def _line_family(p):
+    """The non-isotropic lines of F_p^3, first nonzero entry 1."""
+    lines = {(1, y, z) for y in range(p) for z in range(p)}
+    lines |= {(0, 1, z) for z in range(p)} | {(0, 0, 1)}
+    return VectorSet(tuple(sorted(v for v in lines if sum(x * x for x in v) % p)))
+
+
+def _rescan_pick(assign, triples):
+    """Oracle: the unassigned vertex in the most triples holding no 1,
+    ties to the lowest index, rescored from scratch."""
+    score = [0] * len(assign)
+    for t in triples:
+        if 1 not in (assign[w] for w in t):
+            for w in t:
+                score[w] += 1
+    free = [v for v, c in enumerate(assign) if c is None]
+    return max(free, key=lambda v: (score[v], -v), default=None)
+
+
+@pytest.fixture()
+def checked_solve(monkeypatch):
+    """solve(g, wlog), asserting at every decision that the static order
+    picks what the rescan oracle picks; returns the result and the count of
+    decisions checked."""
+    static_pick = solver._Search._pick
+
+    def run(g, wlog=False):
+        picks = []
+
+        def pick(search):
+            v = static_pick(search)
+            assert v == _rescan_pick(search.assign, g.triples)
+            picks.append(v)
+            return v
+
+        monkeypatch.setattr(solver._Search, "_pick", pick)
+        return solve(g, wlog=wlog), len(picks)
+
+    return run
+
+
+def test_static_order_matches_rescan_on_paper_sets(checked_solve):
+    q = build_graph(build_Q())
+    graphs = [
+        (q, False),
+        (q, True),
+        (build_graph(enumerate_S(462, 8)), False),
+        (build_graph(enumerate_S(35, 30)), False),
+        (build_graph(enumerate_S(462, 3), 5), False),
+    ]
+    graphs += [(build_graph(_line_family(p), p), False) for p in (2, 3, 5, 7, 11, 13)]
+    for g, wlog in graphs:
+        result, picks = checked_solve(g, wlog)
+        assert 2 * picks >= result.stats.nodes > 0  # each pick tries 1, then 0
+
+
+def test_static_order_matches_rescan_on_random_subsets(checked_solve):
+    rng = random.Random(2003)
+    q = build_Q().vectors
+    checked = 0
+    for _ in range(60):
+        subset = VectorSet.from_iterable(rng.sample(q, rng.randint(1, 85)))
+        checked += checked_solve(build_graph(subset))[1]
+    assert checked > 60
+
+
+@pytest.mark.parametrize("p, stats", [(31, (10, 1058, 2)), (61, (20, 4020, 8))])
+def test_line_family_search_stats(p, stats):
+    r = solve(build_graph(_line_family(p), p))
+    assert not r.satisfiable
+    assert (r.stats.nodes, r.stats.propagations, r.stats.max_depth) == stats
+
+
+def test_search_is_cheaper_than_its_graph():
+    # A rescan of every vertex's triples at each decision made the F_61
+    # search 2.5 times as slow as building its graph; a ratio, not a time,
+    # so the bound holds on any host.
+    s = _line_family(61)
+    build_s = solve_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        g = build_graph(s, 61)
+        t1 = time.perf_counter()
+        solve(g)
+        t2 = time.perf_counter()
+        build_s, solve_s = min(build_s, t1 - t0), min(solve_s, t2 - t1)
+    assert solve_s < build_s / 2
 
 
 # ---------------------------------------------------------------------------
