@@ -7,14 +7,19 @@ orthogonality graph into a contradiction:
                     discharged by an explicit signed-permutation witness
                     that maps the alternative vertex onto the fixed one,
                     maps the vertex set onto itself, and carries every
-                    previously fixed assignment onto an equal one.
+                    previously fixed assignment onto an equal one.  The
+                    vertex and its alternatives must cover a context that
+                    puts the color on one of them: for 1, a triple whose
+                    other vertices are all assigned 0; for 0, an edge with
+                    both ends among them.
 * ``propagate``     a conclusion forced by a single edge or triple of the
                     graph under the current partial coloring.
 * ``contradiction`` a vertex forced to both colors, or a context violated
                     by the current coloring.
 
 The replay is purely mechanical; no step is trusted, every orthogonality
-claim and witness matrix is re-checked against the graph.
+claim and witness matrix is re-checked against the graph.  Colors are 0
+or 1; any other color is a parse error.
 
 Text format (one step per line, '#' comments, tokens whitespace-separated,
 commas may hug numbers):
@@ -117,18 +122,21 @@ def verify_certificate(g: OrthoGraph, cert: Certificate) -> CertResult:
                 if image != index.keys():
                     return fail(i, "witness does not map the vertex set onto itself")
                 if canonicalize(apply_matrix(gmat, alt_vertex)) != step.vertex:
-                    return fail(
-                        i,
-                        f"witness does not map {alt_vertex} to {step.vertex}",
-                    )
+                    return fail(i, f"witness does not map {alt_vertex} to {step.vertex}")
                 for u, c in assigned.items():
                     w = canonicalize(apply_matrix(gmat, u))
                     if assigned.get(w) != c:
-                        return fail(
-                            i,
-                            f"witness moves fixed assignment {u}->{c} onto "
-                            f"unmatched vertex {w}",
-                        )
+                        return fail(i, f"witness moves fixed assignment {u}->{c} onto "
+                                       f"unmatched vertex {w}")
+            cover = {index[step.vertex], *(index[alt] for alt, _ in step.alternatives)}
+            if step.color == 1:  # a triple's 1 lies in cover when its other vertices are 0
+                covered = any(all(k in cover or assigned.get(g.vectors[k]) == 0 for k in t)
+                              for t in g.triples)
+            else:  # an edge inside cover holds a 0 there
+                covered = step.color == 0 and any(a in cover and b in cover for a, b in g.edges)
+            if not covered:
+                return fail(i, f"{step.vertex} and its alternatives cover no context "
+                               f"forcing {step.color}")
             assigned[step.vertex] = step.color
             forced.setdefault(step.vertex, set()).add(step.color)
         elif isinstance(step, Propagate):
@@ -144,7 +152,7 @@ def verify_certificate(g: OrthoGraph, cert: Certificate) -> CertResult:
                 if step.color == 0:
                     sound = any(assigned.get(v) == 1 for v in others)
                 else:
-                    sound = all(assigned.get(v) == 0 for v in others)
+                    sound = step.color == 1 and all(assigned.get(v) == 0 for v in others)
             if not sound:
                 return fail(i, f"conclusion {step.vertex}->{step.color} is not forced")
             forced.setdefault(step.vertex, set()).add(step.color)
@@ -235,6 +243,12 @@ class _Tokens:
         except ValueError:
             raise ValueError(f"line {self.lineno}: expected integer, got {tok!r}")
 
+    def take_color(self) -> int:
+        tok = self.take()
+        if tok not in ("0", "1"):
+            raise ValueError(f"line {self.lineno}: expected color 0 or 1, got {tok!r}")
+        return int(tok)
+
     def take_vec(self) -> Vec3:
         return (self.take_int(), self.take_int(), self.take_int())
 
@@ -270,7 +284,7 @@ def parse_certificate(text: str) -> Certificate:
         if kind == "wlog":
             vertex = tk.take_vec()
             tk.expect("->")
-            color = tk.take_int()
+            color = tk.take_color()
             alternatives = []
             while tk.peek() == "alt":
                 tk.take()
@@ -283,7 +297,7 @@ def parse_certificate(text: str) -> Certificate:
             context = _parse_context(tk, "=>")
             vertex = tk.take_vec()
             tk.expect("->")
-            color = tk.take_int()
+            color = tk.take_color()
             tk.done()
             steps.append(Propagate(context, vertex, color))
         elif kind == "contradiction":

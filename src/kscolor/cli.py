@@ -117,15 +117,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.bundled == bool(args.certificate):
+        raise DomainError("give either a certificate file or --bundled")
     s = _load_set(args.input)
     g = orthograph.build_graph(s)
     try:
         if args.bundled:
             cert = cert_mod.load_bundled_certificate()
-        elif args.certificate:
-            cert = cert_mod.load_certificate(args.certificate)
         else:
-            raise DomainError("give a certificate file or --bundled")
+            cert = cert_mod.load_certificate(args.certificate)
     except OSError as exc:
         raise DomainError(f"cannot read certificate: {exc}")
     except ValueError as exc:

@@ -9,19 +9,21 @@ Kochen-Specker coloring of the partial Boolean algebra (a two-valued
 homomorphism) is exactly a KS coloring of its p^2 non-isotropic lines,
 extended by h(0) = 0, h(I) = 1 and h(I - e) = 1 - h(e).
 
-Every rank-1 family is therefore mapped to its lines, and colorability is
-decided by the same orthogonality-graph builder and pair/triple search as
-for integer vectors, with orthogonality taken mod p.  Integer vectors with
-p not dividing their norm reduce to rank-1 projections q(v)^-1 v v^T mod p.
+Colorability is therefore decided on lines, by the same orthogonality-graph
+builder and pair/triple search as for integer vectors, with orthogonality
+taken mod p.  The algebra keeps the lines it is built from; its matrices are
+built only for output, and mapped back to lines only to check an outside
+rank-1 family.  Integer vectors with p not dividing their norm reduce to
+rank-1 projections q(v)^-1 v v^T mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .orthograph import build_graph
+from .orthograph import _line, build_graph
 from .solver import SolveResult, solve
 from .vectors import Vec3, VectorSet, norm_sq
 
@@ -80,20 +82,16 @@ def project_mod_p(v: Vec3, p: int) -> Mat:
 def _line_of(m: Mat, p: int) -> Optional[Vec3]:
     """The line v (first nonzero entry 1) with m == project_mod_p(v, p), or
     None when m is not a rank-1 projection mod p."""
-    for row in (m[0:3], m[3:6], m[6:9]):
-        lead = next((x % p for x in row if x % p), 0)
-        if lead:
-            inv = pow(lead, -1, p)
-            v = tuple((inv * x) % p for x in row)
-            return v if norm_sq(v) % p and project_mod_p(v, p) == m else None
-    return None
+    rows = [r for r in (m[0:3], m[3:6], m[6:9]) if any(x % p for x in r)]
+    v = _line(rows[0], p) if rows else None
+    return v if v and norm_sq(v) % p and project_mod_p(v, p) == m else None
 
 
 def _complement(m: Mat, p: int) -> Mat:
     return tuple((i - x) % p for i, x in zip(IDENTITY, m))
 
 
-def _color_lines(lines: set[Vec3], p: int) -> tuple[SolveResult, dict[Vec3, int]]:
+def _color_lines(lines: Iterable[Vec3], p: int) -> tuple[SolveResult, dict[Vec3, int]]:
     """KS search on lines mod p; the colors by line when SAT."""
     s = VectorSet(tuple(sorted(lines)))
     result = solve(build_graph(s, p))
@@ -105,19 +103,16 @@ def _color_lines(lines: set[Vec3], p: int) -> tuple[SolveResult, dict[Vec3, int]
 class ProjAlgebra:
     p: int
     projections: tuple[Mat, ...]  # sorted row-major
+    lines: tuple[Vec3, ...]  # the rank-1 elements' lines, first nonzero entry 1, sorted
 
     def __len__(self) -> int:
         return len(self.projections)
 
     def rank_counts(self) -> dict[int, int]:
+        rank1 = {project_mod_p(v, self.p) for v in self.lines}
         counts: dict[int, int] = {}
         for m in self.projections:
-            if m == ZERO:
-                r = 0
-            elif m == IDENTITY:
-                r = 3
-            else:
-                r = 1 if _line_of(m, self.p) else 2
+            r = 0 if m == ZERO else 3 if m == IDENTITY else 1 if m in rank1 else 2
             counts[r] = counts.get(r, 0) + 1
         return counts
 
@@ -131,33 +126,27 @@ def enumerate_projections(p: int) -> ProjAlgebra:
         raise ValueError(f"enumeration refused beyond p = {ENUMERATION_GUARD}")
     reps = [(0, 0, 1)] + [(0, 1, z) for z in range(p)]
     reps += [(1, y, z) for y in range(p) for z in range(p)]
-    rank1 = [project_mod_p(v, p) for v in reps if norm_sq(v) % p]
+    lines = tuple(v for v in reps if norm_sq(v) % p)
+    rank1 = [project_mod_p(v, p) for v in lines]
     found = [ZERO, IDENTITY, *rank1, *(_complement(e, p) for e in rank1)]
-    return ProjAlgebra(p=p, projections=tuple(sorted(found)))
+    return ProjAlgebra(p=p, projections=tuple(sorted(found)), lines=lines)
 
 
 def search_ba_coloring(algebra: ProjAlgebra) -> SolveResult:
     """Two-valued homomorphism search on the partial Boolean algebra.
 
-    Decided as a KS coloring of the lines of the rank-1 elements, extended
-    by 0 -> 0, I -> 1 and I - e -> 1 - h(e).
+    Decided as a KS coloring of the algebra's lines, extended by 0 -> 0,
+    I -> 1, e -> h(v) and I - e -> 1 - h(v) for e = project_mod_p(v, p).
     """
     p = algebra.p
-    line = {m: _line_of(m, p) for m in algebra.projections}
-    result, colors = _color_lines({v for v in line.values() if v}, p)
+    result, colors = _color_lines(algebra.lines, p)
     if not result.satisfiable:
         return result
-
-    def h(m: Mat) -> int:
-        if m == ZERO:
-            return 0
-        if m == IDENTITY:
-            return 1
-        if line[m]:
-            return colors[line[m]]
-        return 1 - colors[line[_complement(m, p)]]
-
-    return SolveResult(True, tuple(h(m) for m in algebra.projections), result.stats)
+    h = {ZERO: 0, IDENTITY: 1}
+    for v, c in colors.items():
+        e = project_mod_p(v, p)
+        h[e], h[_complement(e, p)] = c, 1 - c
+    return SolveResult(True, tuple(h[m] for m in algebra.projections), result.stats)
 
 
 @dataclass(frozen=True)
@@ -168,11 +157,7 @@ class ReducedSet:
 
 
 def reduce_set_mod_p(s: VectorSet, p: int) -> ReducedSet:
-    images = []
-    for v in s:
-        if norm_sq(v) % p == 0:
-            raise ValueError(f"{p} divides the norm of {v}")
-        images.append(project_mod_p(v, p))
+    images = [project_mod_p(v, p) for v in s]
     distinct = tuple(sorted(set(images)))
     return ReducedSet(p=p, projections=distinct, collided=len(distinct) < len(images))
 

@@ -13,8 +13,9 @@ decision.  Everything is deterministic.
 
 A 2^n brute-force oracle and a CNF export (with its own tiny brute-force
 satisfiability check) provide independent routes to the same verdicts.
-A generic DPLL over clause lists is also provided as a reference engine
-for constraints that are not pair/triple shaped.
+A generic DPLL over clause lists (`solve_cnf`) is kept as well.  Nothing in
+the package calls it: the tests use it as an oracle on clause encodings,
+and the benchmark's tracer names it.
 """
 
 from __future__ import annotations

@@ -210,9 +210,6 @@ class VectorSet:
         i = bisect_left(self.vectors, v)
         return i < len(self.vectors) and self.vectors[i] == v
 
-    def index_of(self, v: Vec3) -> int:
-        return self.vectors.index(v)
-
     def union(self, other: "VectorSet", name: Optional[str] = None) -> "VectorSet":
         return VectorSet.from_iterable(self.vectors + other.vectors, name=name)
 

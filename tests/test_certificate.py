@@ -13,7 +13,8 @@ from kscolor.certificate import (
     verify_certificate,
 )
 from kscolor.orthograph import build_graph
-from kscolor.vectors import VectorSet, build_Q, build_Qn
+from kscolor.solver import solve
+from kscolor.vectors import VectorSet, build_Q, build_Qn, enumerate_S
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +94,13 @@ def test_corrupted_witness_invalid(q_graph, bundled):
 
 def _mutations(step):
     """Corrupted variants of one step: flipped colors, broken witnesses,
-    swapped-in wrong vertices."""
+    dropped alternatives, swapped-in wrong vertices."""
     if isinstance(step, WlogFix):
         yield dataclasses.replace(step, color=1 - step.color)
         alt_vertex, g = step.alternatives[0]
         broken = (g[2], g[1], g[0])  # wrong permutation, same entries
         yield dataclasses.replace(step, alternatives=((alt_vertex, broken),))
+        yield dataclasses.replace(step, alternatives=())
     elif isinstance(step, Propagate):
         yield dataclasses.replace(step, color=1 - step.color)
         wrong = ((1, 2, 3),) + step.context[1:]
@@ -131,6 +133,64 @@ def test_wlog_needs_vertex_set_closure(bundled):
     result = verify_certificate(partial, Certificate(bundled.steps[:1]))
     assert not result.valid
     assert "onto" in result.reason
+
+
+WLOG_ALL_ZERO = (
+    "wlog 1 0 0 -> 0\nwlog 0 1 0 -> 0\nwlog 0 0 1 -> 0\n"
+    "contradiction context 1 0 0 , 0 1 0 , 0 0 1\n"
+)
+WLOG_TWO_ONES = "wlog 1 0 0 -> 1\nwlog 0 1 0 -> 1\ncontradiction context 1 0 0 , 0 1 0\n"
+
+
+@pytest.mark.parametrize("case", ["basis all zero", "S(455) two ones", "bundled no alternatives"])
+def test_wlog_must_cover_a_context(bundled, case):
+    # a wlog step is sound only when some vertex of {vertex} + alternatives
+    # must take its color; without that rule all three would replay Valid
+    if case == "basis all zero":
+        g, cert = build_graph(build_Qn(1)), parse_certificate(WLOG_ALL_ZERO)
+    elif case == "S(455) two ones":
+        g, cert = build_graph(enumerate_S(455, 10)), parse_certificate(WLOG_TWO_ONES)
+    else:
+        g = build_graph(build_Q())
+        cert = _replace_step(bundled, 0, dataclasses.replace(bundled.steps[0], alternatives=()))
+    if case != "bundled no alternatives":
+        assert solve(g).satisfiable
+    result = verify_certificate(g, cert)
+    assert not result.valid
+    assert result.failed_step == 0
+    assert "cover no context" in result.reason
+
+
+def test_wlog_zero_on_an_edge_is_accepted():
+    # one end of the edge {(1,0,0), (0,1,0)} is 0, and a swap carries it onto (1,0,0)
+    cert = parse_certificate(
+        "wlog 1 0 0 -> 0 alt 0 1 0 via 0 1 0 1 0 0 0 0 1\n"
+        "wlog 0 1 0 -> 0 alt 0 0 1 via 1 0 0 0 0 1 0 1 0\n"
+        "propagate 1 0 0 , 0 1 0 , 0 0 1 => 0 0 1 -> 1\n"
+    )
+    result = verify_certificate(build_graph(build_Qn(1)), cert)
+    assert result.reason == "no contradiction reached"
+
+
+def test_colors_other_than_zero_and_one_are_refused():
+    # with a third color, a triple holding 0, 0, 2 would count as violated on a SAT set
+    steps = (
+        "wlog 1 0 0 -> 0 alt 0 1 0 via 0 1 0 1 0 0 0 0 1\n"
+        "wlog 0 1 0 -> 0 alt 0 0 1 via 1 0 0 0 0 1 0 1 0\n"
+        "propagate 1 0 0 , 0 1 0 , 0 0 1 => 0 0 1 -> {}\n"
+        "contradiction context 1 0 0 , 0 1 0 , 0 0 1\n"
+    )
+    with pytest.raises(ValueError, match="line 3: expected color 0 or 1"):
+        parse_certificate(steps.format(2))
+    with pytest.raises(ValueError, match="line 1: expected color 0 or 1"):
+        parse_certificate("wlog 1 0 0 -> 2\n")
+    cert = parse_certificate(steps.format(1))
+    bad = _replace_step(cert, 2, dataclasses.replace(cert.steps[2], color=2))
+    result = verify_certificate(build_graph(build_Qn(1)), bad)
+    assert not result.valid and result.failed_step == 2
+    bad = _replace_step(cert, 0, dataclasses.replace(cert.steps[0], color=2))
+    result = verify_certificate(build_graph(build_Qn(1)), bad)
+    assert not result.valid and result.failed_step == 0
 
 
 def test_contradiction_not_forced(q_graph):

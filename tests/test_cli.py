@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -125,6 +126,16 @@ def test_certify_needs_certificate(q_file, capsys):
     assert main(["certify", q_file]) == 1
 
 
+def test_certify_refuses_file_and_bundled(tmp_path, q_file, capsys):
+    # --bundled would replay the packaged certificate and ignore this one
+    bogus = tmp_path / "bogus.cert"
+    bogus.write_text("frobnicate\n")
+    assert main(["certify", q_file, str(bogus), "--bundled"]) == 1
+    captured = capsys.readouterr()
+    assert "either a certificate file or --bundled" in captured.err
+    assert "Valid" not in captured.out
+
+
 def test_ffproj_small_primes(capsys):
     assert main(["ffproj", "--p", "2"]) == 0
     assert "SAT" in capsys.readouterr().out
@@ -144,13 +155,36 @@ def test_ffproj_reduce(q_file, capsys):
     assert "25 rank-1 projections" in out and "UNSAT" in out
 
 
-def test_ffproj_stdout(q_file, capsys):
+#: sha256 of the files `ffproj --p P --proj-out/--coloring-out` writes
+FFPROJ_FILES = {
+    (2, "proj"): "d959b0c6d34bd4602b20559323990945d2c9c810a32194805b4a6ec3892c8ab2",
+    (2, "coloring"): "7febc767db62b58e76d37774c8cbec589dbe245d9db40e8438a4dd8eb60b111b",
+    (3, "proj"): "7518bf24d9bbcdaa464a80744f3da09f62488f69e46186b09179c0fe64edc384",
+    (3, "coloring"): "0f24cfab634a2672a6be785ad0e7e51c9a76e9c7cff4ea0d7fa5b081f867b783",
+    (31, "proj"): "5c47178e9e4dad37ec14e9180a50efaa5372427eada7db87bd8b6bc1ca9d2cd8",
+}
+
+
+def test_ffproj_stdout(q_file, tmp_path, capsys):
     assert main(["ffproj", "--p", "5"]) == 2
     assert capsys.readouterr().out == (
         "52 projections over F_5 (rank 0: 1, rank 1: 25, rank 2: 25, rank 3: 1)\nUNSAT\n"
     )
     assert main(["ffproj", "--p", "13", "--reduce", q_file]) == 2
     assert capsys.readouterr().out == "85 rank-1 projections mod 13\nUNSAT\n"
+    for p, code, out in (
+        (2, 0, "10 projections over F_2 (rank 0: 1, rank 1: 4, rank 2: 4, rank 3: 1)\nSAT\n"),
+        (3, 0, "20 projections over F_3 (rank 0: 1, rank 1: 9, rank 2: 9, rank 3: 1)\nSAT\n"),
+        (31, 2, "1924 projections over F_31 "
+                "(rank 0: 1, rank 1: 961, rank 2: 961, rank 3: 1)\nUNSAT\n"),
+    ):
+        files = {kind: tmp_path / f"{kind}{p}.txt" for kind in ("proj", "coloring")}
+        assert main(["ffproj", "--p", str(p), "--proj-out", str(files["proj"]),
+                     "--coloring-out", str(files["coloring"])]) == code
+        assert capsys.readouterr().out == out
+        for kind, path in files.items():
+            digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+            assert digest == FFPROJ_FILES.get((p, kind)), (p, kind)
 
 
 def test_ffproj_reduce_writes_projections_and_coloring(tmp_path, capsys):

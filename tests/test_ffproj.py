@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from kscolor import ffproj
 from kscolor.ffproj import (
     IDENTITY,
     MILLER_RABIN_BOUND,
@@ -243,6 +244,21 @@ def test_ba_coloring_matches_clause_oracle(algebras, p):
     model = solve_cnf(*clause_encoding(algebra))
     result = search_ba_coloring(algebra)
     assert result.satisfiable == (model is not None)
+    if result.satisfiable:
+        _check_homomorphism(algebra, result.coloring)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_algebra_path_keeps_its_lines(monkeypatch, p):
+    # the algebra is built from its lines; only outside input is mapped back
+    def refuse(m, p):
+        raise AssertionError("the algebra path mapped a matrix back to its line")
+
+    monkeypatch.setattr(ffproj, "_line_of", refuse)
+    algebra = enumerate_projections(p)
+    assert algebra.rank_counts() == {0: 1, 1: p * p, 2: p * p, 3: 1}
+    result = search_ba_coloring(algebra)
+    assert result.satisfiable == (p < 5)
     if result.satisfiable:
         _check_homomorphism(algebra, result.coloring)
 

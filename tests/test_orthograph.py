@@ -183,7 +183,7 @@ def test_contexts_of():
     assert g2.contexts_of(0) == []
 
     gq = build_graph(build_Q())
-    i = gq.vector_set.index_of((-3, 8, 2))
+    i = gq.vectors.index((-3, 8, 2))
     contexts = gq.contexts_of(i)
     target = {(4, 1, 2), (2, 2, -5), (-3, 8, 2)}
     assert any({gq.vectors[v] for v in t} == target for t in contexts)
