@@ -35,14 +35,14 @@ def _write(path, text: str) -> None:
 
 def _build_set(args) -> vectors.VectorSet:
     name = args.name
-    if name == "Q":
-        return vectors.build_Q()
     if name.startswith("Q"):
-        return vectors.build_Qn(int(name[1:]))
+        if args.N is not None or args.height is not None:
+            raise DomainError(f"--N and --height apply only to build S, not {name}")
+        return vectors.build_Q() if name == "Q" else vectors.build_Qn(int(name[1:]))
     if args.N is None:
         raise DomainError("build S requires --N")
     try:
-        return vectors.enumerate_S(args.N, args.height)
+        return vectors.enumerate_S(args.N, 8 if args.height is None else args.height)
     except ValueError as exc:
         raise DomainError(str(exc))
 
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="construct a named vector set")
     p_build.add_argument("name", choices=BUILD_NAMES)
     p_build.add_argument("--N", type=int, help="squarefree N for the S slice")
-    p_build.add_argument("--height", type=int, default=8, help="height bound for S (default 8)")
+    p_build.add_argument("--height", type=int, help="height bound for S (default 8)")
     p_build.add_argument("-o", "--output", help="output vector-set file (default stdout)")
     p_build.set_defaults(func=cmd_build)
 

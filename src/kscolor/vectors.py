@@ -48,9 +48,7 @@ def is_orthogonal(u: Vec3, v: Vec3) -> bool:
 
 
 def is_primitive(v: Vec3) -> bool:
-    if is_zero(v):
-        return False
-    return math.gcd(math.gcd(abs(v[0]), abs(v[1])), abs(v[2])) == 1
+    return not is_zero(v) and math.gcd(*v) == 1
 
 
 def is_well_signed(v: Vec3) -> bool:
@@ -63,10 +61,9 @@ def is_well_signed(v: Vec3) -> bool:
     if is_zero(v):
         raise ValueError("the zero vector is neither well-signed nor its negation")
     nonzero = [e for e in v if e != 0]
-    positives = sum(1 for e in nonzero if e > 0)
-    if len(nonzero) in (1, 2):
+    if len(nonzero) < 3:
         return nonzero[0] > 0
-    return positives >= 2
+    return sum(e > 0 for e in nonzero) >= 2
 
 
 def canonicalize(v: Vec3) -> Vec3:
@@ -77,7 +74,7 @@ def canonicalize(v: Vec3) -> Vec3:
     """
     if is_zero(v):
         raise ValueError("cannot canonicalize the zero vector")
-    g = math.gcd(math.gcd(abs(v[0]), abs(v[1])), abs(v[2]))
+    g = math.gcd(*v)
     w = (v[0] // g, v[1] // g, v[2] // g)
     if is_well_signed(w):
         return w
@@ -89,9 +86,7 @@ def radical(n: int) -> int:
     """Product of the distinct prime divisors of n; radical(1) == 1."""
     if n < 1:
         raise ValueError("radical requires a positive integer")
-    rad = 1
-    m = n
-    p = 2
+    rad, m, p = 1, n, 2
     while p * p <= m:
         if m % p == 0:
             rad *= p
@@ -134,16 +129,11 @@ def is_signed_permutation(g: SignedPermutation) -> bool:
 
 def signed_permutations() -> list[SignedPermutation]:
     """All 48 signed permutation matrices, in a fixed deterministic order."""
-    mats = []
-    for perm in permutations(range(3)):
-        for signs in product((1, -1), repeat=3):
-            rows = []
-            for i in range(3):
-                row = [0, 0, 0]
-                row[perm[i]] = signs[i]
-                rows.append(tuple(row))
-            mats.append(tuple(rows))
-    return mats
+    return [
+        tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(3)) for i in range(3))
+        for perm in permutations(range(3))
+        for signs in product((1, -1), repeat=3)
+    ]
 
 
 #: Swap x and y, cycle x -> y -> z, negate x: together they generate all 48.
@@ -226,6 +216,25 @@ class VectorSet:
         )
 
 
+#: The 24 signed permutations whose nonzero entries multiply to 1.  With -I
+#: they make up all 48, and -I fixes every line.
+_HALF_GROUP = tuple(g for g in signed_permutations() if math.prod(map(sum, g)) == 1)
+
+
+def _box_lines(norms: set[int], bound: int) -> Iterator[Vec3]:
+    """A vector on each line whose primitive vectors lie in the box
+    [-bound, bound]^3 and have a norm in `norms`.  Sorting absolute values
+    keeps norm and box, so these are the signed permutations of the
+    primitive points 0 <= x <= y <= z <= bound of those norms."""
+    for z in range(1, bound + 1):
+        for y in range(z + 1):
+            yz = y * y + z * z
+            for x in range(y + 1):
+                if yz + x * x in norms and math.gcd(x, y, z) == 1:
+                    for g in _HALF_GROUP:
+                        yield apply_matrix(g, (x, y, z))
+
+
 def build_Qn(n: int) -> VectorSet:
     """One of the seven named blocks Q_1 ... Q_77.
 
@@ -240,17 +249,15 @@ def build_Qn(n: int) -> VectorSet:
     if n in _MULTISET_BLOCKS:
         vecs = [apply_matrix(g, _MULTISET_BLOCKS[n]) for g in signed_permutations()]
     else:
-        cube = range(-math.isqrt(n), math.isqrt(n) + 1)
-        vecs = [v for v in product(cube, repeat=3) if norm_sq(v) == n]
+        vecs = _box_lines({n}, math.isqrt(n))
     return VectorSet.from_iterable(vecs, name=f"Q_{n}")
 
 
 def build_Q() -> VectorSet:
     """The 85-vector uncolorable set: disjoint union of the seven blocks."""
-    vecs: list[Vec3] = []
-    for n in Q_BLOCK_NORMS:
-        vecs.extend(build_Qn(n).vectors)
-    return VectorSet.from_iterable(vecs, name="Q", n_divisor=462, height=8)
+    blocks = [build_Qn(n) for n in Q_BLOCK_NORMS]
+    return VectorSet.from_iterable(
+        (v for b in blocks for v in b), name="Q", n_divisor=462, height=8)
 
 
 def enumerate_S(n_divisor: int, height: int) -> VectorSet:
@@ -260,23 +267,19 @@ def enumerate_S(n_divisor: int, height: int) -> VectorSet:
     divides the squarefree N.  The full S(N) is infinite; a bounded slice
     is only conclusive upward for UNSAT verdicts.
 
-    A non-primitive point stands for its primitive part, which lies in the
-    cube and has an admissible norm too, so no point needs filtering out.
+    A point's norm is a square times its primitive part's, so each line of
+    the cube with an admissible norm has a primitive vector of admissible norm.
+    `_box_lines` tests about H^3/6 points, not the (2H+1)^3 of the cube.
     """
     if not is_squarefree(n_divisor):
         raise ValueError(f"N must be squarefree, got {n_divisor} (pass radical(N))")
     if height < 1:
         raise ValueError("height bound must be >= 1")
-    admissible = {
-        q for q in range(1, 3 * height * height + 1) if n_divisor % radical(q) == 0
-    }
-    cube = range(-height, height + 1)
+    admissible = {q for q in range(1, 3 * height * height + 1)
+                  if n_divisor % radical(q) == 0}
     return VectorSet.from_iterable(
-        (v for v in product(cube, repeat=3) if norm_sq(v) in admissible),
-        name=f"S({n_divisor})|H={height}",
-        n_divisor=n_divisor,
-        height=height,
-    )
+        _box_lines(admissible, height),
+        name=f"S({n_divisor})|H={height}", n_divisor=n_divisor, height=height)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +319,13 @@ def parse_vector_set(text: str) -> VectorSet:
             elif body.startswith("H:"):
                 height = int(body[2:].strip())
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected three integers, got {raw!r}")
         try:
-            v = (int(parts[0]), int(parts[1]), int(parts[2]))
+            x, y, z = map(int, line.split())
         except ValueError:
             raise ValueError(f"line {lineno}: expected three integers, got {raw!r}")
-        if v == (0, 0, 0):
+        if x == y == z == 0:
             raise ValueError(f"line {lineno}: zero vector not allowed")
-        vecs.append(v)
+        vecs.append((x, y, z))
     return VectorSet.from_iterable(vecs, name=name, n_divisor=n_divisor, height=height)
 
 

@@ -52,6 +52,27 @@ def test_build_S_requires_N(capsys):
     assert main(["build", "S"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "Q", "--N", "30"],
+    ["build", "Q1", "--height", "5"],
+    ["build", "Q77", "--N", "462", "--height", "8"],
+    ["build", "Q", "--height", "8"],
+])
+def test_build_Q_refuses_slice_options(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "apply only to build S" in captured.err
+
+
+def test_build_S_height_defaults_to_8(tmp_path):
+    default, explicit = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(["build", "S", "--N", "462", "-o", str(default)]) == 0
+    assert main(["build", "S", "--N", "462", "--height", "8", "-o", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    assert "# H: 8\n" in default.read_text()
+
+
 def test_solve_Q_unsat(q_file, capsys):
     assert main(["solve", q_file]) == 2
     out = capsys.readouterr().out

@@ -1,10 +1,13 @@
+import hashlib
 import math
 import random
+import time
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from kscolor.orthograph import build_graph
 from kscolor.vectors import (
     Q_BLOCK_NORMS,
     SYMMETRY_GENERATORS,
@@ -297,6 +300,55 @@ def test_enumerate_S_height_one():
 )
 def test_enumerate_S_against_oracle(n_divisor, height):
     assert set(enumerate_S(n_divisor, height)) == _enumerate_S_oracle(n_divisor, height)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), unique=True).map(math.prod),
+    st.integers(1, 5),
+)
+def test_enumerate_S_matches_oracle(n_divisor, height):
+    # n_divisor ranges over the squarefree divisors of 30030
+    assert set(enumerate_S(n_divisor, height)) == _enumerate_S_oracle(n_divisor, height)
+
+
+# sha256 of format_vector_set(enumerate_S(N, H)), taken when the slices were
+# still built by scanning the whole (2H+1)^3 cube: the benchmark's six rungs,
+# S(455)|H=10 and four H=15 slices.
+SLICE_SHA256 = {
+    (462, 8): "03d838d05f86c34124da25b6d69329f5023d17eba82669099e6b6163960667db",
+    (462, 16): "4bbef3a5d126b5313556e3c170c50c7a3c2348b262c14f664e43555a747ad084",
+    (462, 24): "cf64b152c806eb5a428881b31f28058c6014451e9d0416fb8040b3831c6b83b1",
+    (35, 30): "59bef02ac19451b338659359ed72681bc0f303933412ff1881841c4d159a6bcb",
+    (35, 50): "5cf333a454fb1093ac4fd7b2c6165b49c52d916ac7578dc602a5af32f88db5fb",
+    (455, 30): "b309ab8fffb4aa052ab50dfc1d9c2e6d7a1ab5e391eb56ecbf839d99c2de15b9",
+    (455, 10): "fb83474fbfea82ea2f575efbff7da9cad2ada611fefd44306f6edad2106c5b2c",
+    (1, 15): "9522d9ab14cef42d29c4614c0ee06d1e064ea0d6f7ada441609232bc2d958eb3",
+    (5, 15): "90620547a0541f59d7d01998eaeb528c928c5a32690c63130e6a00a01f211cb7",
+    (7, 15): "d52f10adb6bcdf06f9aabecb6ef2e1421af0d4a378cf7cd4ae0328e4d04f39b1",
+    (35, 15): "aaef97819f47371e060e995042a1d840b06af2bc59af00f427393b936197dab8",
+}
+
+
+@pytest.mark.parametrize("n_divisor,height", sorted(SLICE_SHA256))
+def test_enumerate_S_pinned(n_divisor, height):
+    text = format_vector_set(enumerate_S(n_divisor, height))
+    assert hashlib.sha256(text.encode()).hexdigest() == SLICE_SHA256[n_divisor, height]
+
+
+def test_enumerate_S_is_cheaper_than_its_graph():
+    # Scanning the (2H+1)^3 cube made S(35)|H=50 about 20 times as slow to
+    # list as its graph is to build; a ratio, not a time, so the bound holds
+    # on any host.
+    enum_s = graph_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        s = enumerate_S(35, 50)
+        t1 = time.perf_counter()
+        build_graph(s)
+        t2 = time.perf_counter()
+        enum_s, graph_s = min(enum_s, t1 - t0), min(graph_s, t2 - t1)
+    assert enum_s < 3 * graph_s
 
 
 def test_enumerate_S_contains_Q():
