@@ -29,8 +29,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}")
 
 
 def _build_set(args) -> vectors.VectorSet:
@@ -103,13 +106,12 @@ def cmd_solve(args) -> int:
             result = solver.solve(g, wlog=args.wlog)
     except ValueError as exc:
         raise DomainError(str(exc))
+    if result.satisfiable and args.coloring_out:  # a failed write prints no verdict
+        _write(args.coloring_out, solver.format_coloring(g.vectors, result.coloring))
     print(result.verdict)
     if result.satisfiable:
-        text = solver.format_coloring(g.vectors, result.coloring)
-        if args.coloring_out:
-            _write(args.coloring_out, text)
-        else:
-            sys.stdout.write(text)
+        if not args.coloring_out:
+            sys.stdout.write(solver.format_coloring(g.vectors, result.coloring))
         return 0
     st = result.stats
     print(f"nodes: {st.nodes}  propagations: {st.propagations}  max depth: {st.max_depth}")
@@ -171,10 +173,10 @@ def cmd_ffproj(args) -> int:
         result = ffproj.search_ba_coloring(algebra)
     if args.proj_out:
         _write(args.proj_out, ffproj.format_projections(p, projs))
-    print(result.verdict)
-    if result.satisfiable and args.coloring_out:
+    if result.satisfiable and args.coloring_out:  # a failed write prints no verdict
         _write(args.coloring_out, "".join(
             " ".join(str(e) for e in m) + f" {c}\n" for m, c in zip(projs, result.coloring)))
+    print(result.verdict)
     return 0 if result.satisfiable else 2
 
 

@@ -97,7 +97,14 @@ def _sieve(vecs: tuple[Vec3, ...], q: int) -> tuple[list[int], list[int]]:
     """Vertex i's line index slot[i] mod q, and orth[k]: the bitset of the
     vertices whose lines are orthogonal mod q to line k."""
     index: dict[Vec3, int] = {}
-    slot = [index.setdefault(_line(v, q), len(index)) for v in vecs]
+    of_residue: dict[Vec3, int] = {}  # residue triple mod q -> its line's index
+    slot = []
+    for x, y, z in vecs:
+        r = x % q, y % q, z % q
+        k = of_residue.get(r)
+        if k is None:
+            k = of_residue[r] = index.setdefault(_line(r, q), len(index))
+        slot.append(k)
     members = [0] * len(index)
     for i, k in enumerate(slot):
         members[k] |= 1 << i

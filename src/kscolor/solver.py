@@ -9,7 +9,9 @@ index; value order is 1 then 0.  Every decision is taken at a propagation
 fixpoint, where each neighbour of a 1 is 0.  The three pairs of a triple are
 edges, so no unassigned vertex then lies in a triple that holds a 1: its
 count is just its number of triples, and one static order serves every
-decision.  Everything is deterministic.
+decision.  The walk for the next decision resumes from a cursor saved with
+each decision, not from the start of the order.  Everything is
+deterministic.
 
 A 2^n brute-force oracle and a CNF export (with its own tiny brute-force
 satisfiability check) provide independent routes to the same verdicts.
@@ -78,6 +80,7 @@ class _Search:
             for v in t:
                 self.vertex_triples[v].append(t)
         self.order = sorted(range(n), key=lambda v: (-len(self.vertex_triples[v]), v))
+        self.cursor = 0  # every position of order before it is assigned
         self.stats = SolveStats()
 
     def _set(self, v: int, c: int) -> bool:
@@ -124,21 +127,32 @@ class _Search:
             self.assign[self.trail.pop()] = None
 
     def _pick(self) -> Optional[int]:
-        """First unassigned vertex in the static decision order."""
-        return next((v for v in self.order if self.assign[v] is None), None)
+        """First unassigned vertex in the static decision order.
+
+        The walk resumes from the cursor and leaves it on the vertex it
+        returns.  Every earlier position was assigned at a shallower
+        decision, and stays assigned until `run` undoes that decision and
+        restores the cursor saved with it.
+        """
+        order, assign = self.order, self.assign
+        i, n = self.cursor, len(order)
+        while i < n and assign[order[i]] is not None:
+            i += 1
+        self.cursor = i
+        return order[i] if i < n else None
 
     def run(self, fixed: Sequence[tuple[int, int]] = ()) -> SolveResult:
         stats = self.stats
         for v, c in fixed:
             if not self._set(v, c):
                 return SolveResult(False, None, stats)
-        path: list[tuple[int, int, int]] = []  # (vertex, value, trail mark) per decision
+        path: list[tuple[int, int, int, int]] = []  # (vertex, value, trail mark, cursor) per decision
         v, value = self._pick(), 1
         while v is not None:
             stats.nodes += 1
             mark = len(self.trail)
             if self._set(v, value):
-                path.append((v, value, mark))
+                path.append((v, value, mark, self.cursor))
                 stats.max_depth = max(stats.max_depth, len(path))
                 v, value = self._pick(), 1
                 continue
@@ -146,7 +160,7 @@ class _Search:
             while value == 0:  # 0 failed too: back up to the latest decision at 1
                 if not path:
                     return SolveResult(False, None, stats)
-                v, value, mark = path.pop()
+                v, value, mark, self.cursor = path.pop()
                 self._undo(mark)
             value = 0
         return SolveResult(True, tuple(self.assign), stats)  # type: ignore[arg-type]

@@ -58,12 +58,13 @@ def is_well_signed(v: Vec3) -> bool:
     of them must be positive.  Three nonzero entries: at least two must be
     positive (so e.g. (1,1,1) and (1,-1,1) qualify, (-1,1,-1) does not).
     """
-    if is_zero(v):
+    x, y, z = v
+    if x and y and z:
+        return (x < 0) + (y < 0) + (z < 0) <= 1
+    first = x or y or z
+    if not first:
         raise ValueError("the zero vector is neither well-signed nor its negation")
-    nonzero = [e for e in v if e != 0]
-    if len(nonzero) < 3:
-        return nonzero[0] > 0
-    return sum(e > 0 for e in nonzero) >= 2
+    return first > 0
 
 
 def canonicalize(v: Vec3) -> Vec3:
@@ -72,13 +73,13 @@ def canonicalize(v: Vec3) -> Vec3:
     Idempotent, and constant on each line: canonicalize(k*v) ==
     canonicalize(v) for every nonzero integer k.
     """
-    if is_zero(v):
+    x, y, z = v
+    g = math.gcd(x, y, z)
+    if g == 0:
         raise ValueError("cannot canonicalize the zero vector")
-    g = math.gcd(*v)
-    w = (v[0] // g, v[1] // g, v[2] // g)
-    if is_well_signed(w):
-        return w
-    return (-w[0], -w[1], -w[2])
+    if not is_well_signed(v):  # a positive scale keeps the signs
+        g = -g
+    return x // g, y // g, z // g
 
 
 @lru_cache(maxsize=None)
@@ -302,9 +303,10 @@ def format_vector_set(s: VectorSet) -> str:
 
 
 def parse_vector_set(text: str) -> VectorSet:
+    """Inverse of `format_vector_set`.  A `# vectors:` header must match the
+    number of vector lines, so a truncated file is refused."""
     name = None
-    n_divisor = None
-    height = None
+    numbers: dict[str, int] = {}  # the integer headers N, H and vectors
     vecs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -314,10 +316,12 @@ def parse_vector_set(text: str) -> VectorSet:
             body = line[1:].strip()
             if body.startswith("name:"):
                 name = body[5:].strip()
-            elif body.startswith("N:"):
-                n_divisor = int(body[2:].strip())
-            elif body.startswith("H:"):
-                height = int(body[2:].strip())
+            elif body.startswith(("N:", "H:", "vectors:")):
+                key, _, value = body.partition(":")
+                try:
+                    numbers[key] = int(value)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: expected an integer after '{key}:', got {raw!r}")
             continue
         try:
             x, y, z = map(int, line.split())
@@ -326,7 +330,11 @@ def parse_vector_set(text: str) -> VectorSet:
         if x == y == z == 0:
             raise ValueError(f"line {lineno}: zero vector not allowed")
         vecs.append((x, y, z))
-    return VectorSet.from_iterable(vecs, name=name, n_divisor=n_divisor, height=height)
+    count = numbers.get("vectors")
+    if count is not None and count != len(vecs):
+        raise ValueError(f"header says {count} vectors, the file has {len(vecs)} vector lines")
+    return VectorSet.from_iterable(
+        vecs, name=name, n_divisor=numbers.get("N"), height=numbers.get("H"))
 
 
 def load_vector_set(path) -> VectorSet:

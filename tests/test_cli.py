@@ -95,6 +95,25 @@ def test_solve_sat_writes_coloring(tmp_path, capsys):
     assert len(lines) == 3 and all(line[-1] in "01" for line in lines)
 
 
+def test_build_reports_an_unwritable_output(tmp_path, capsys):
+    out = tmp_path / "missing" / "q.txt"
+    assert main(["build", "Q", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["ffproj", "--p", "5", "--reduce"]])
+def test_sat_run_reports_an_unwritable_coloring(command, tmp_path, capsys):
+    inp = tmp_path / "basis.txt"
+    main(["build", "Q1", "-o", str(inp)])
+    capsys.readouterr()
+    out = tmp_path / "missing" / "c.txt"
+    assert main(command + [str(inp), "--coloring-out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "SAT" not in captured.out  # no verdict for a run that failed
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
 def test_solve_brute_guard(q_file, capsys):
     assert main(["solve", q_file, "--brute"]) == 1
     assert "brute force" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -246,20 +247,62 @@ def test_line_family_search_stats(p, stats):
     assert (r.stats.nodes, r.stats.propagations, r.stats.max_depth) == stats
 
 
-def test_search_is_cheaper_than_its_graph():
-    # A rescan of every vertex's triples at each decision made the F_61
-    # search 2.5 times as slow as building its graph; a ratio, not a time,
-    # so the bound holds on any host.
-    s = _line_family(61)
+def _build_and_solve_s(s, p=None):
+    """The least of three build_graph times and of three solve times."""
     build_s = solve_s = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        g = build_graph(s, 61)
+        g = build_graph(s, p)
         t1 = time.perf_counter()
         solve(g)
         t2 = time.perf_counter()
         build_s, solve_s = min(build_s, t1 - t0), min(solve_s, t2 - t1)
+    return build_s, solve_s
+
+
+def test_search_is_cheaper_than_its_graph():
+    # A rescan of every vertex's triples at each decision made the F_61
+    # search 2.5 times as slow as building its graph; a ratio, not a time,
+    # so the bound holds on any host.
+    build_s, solve_s = _build_and_solve_s(_line_family(61), 61)
     assert solve_s < build_s / 2
+
+
+def test_solve_is_cheaper_than_its_graph_on_a_deep_sat_slice():
+    # Walking the decision order from its start at every decision made the
+    # search of S(35)|H=50 (depth 488) cost about as much as its graph; a
+    # ratio, not a time, so the bound holds on any host.
+    build_s, solve_s = _build_and_solve_s(enumerate_S(35, 50))
+    assert solve_s < build_s / 2
+
+
+# (N, H) -> verdict, (nodes, propagations, max depth), sha256 of the
+# format_coloring text, taken while each decision still walked the order
+# from its start: the benchmark's six rungs and S(455)|H=10.
+SLICE_SOLVES = {
+    (462, 8): ("UNSAT", (20, 1430, 4), None),
+    (462, 16): ("UNSAT", (20, 1918, 4), None),
+    (462, 24): ("UNSAT", (20, 3167, 4), None),
+    (35, 30): ("SAT", (246, 237, 246),
+               "5666591e2cb603e031cab51795b54b6fa10bfaee8cc79cfcf013ff0ad09fd122"),
+    (35, 50): ("SAT", (488, 583, 488),
+               "1ccbacd41934806a90fa8d6477e5288618b87274452fe8702ce36d71e9eafbb2"),
+    (455, 30): ("SAT", (469, 554, 469),
+                "581c3b52fb9b5d635651beb1dff3a9db6382b81dfcd908e1f69865ddb179778a"),
+    (455, 10): ("SAT", (118, 113, 118),
+                "e0e6fee4424542dae5525c14fe17ad896f2056c103ddc3202c9786d5a4a48fb0"),
+}
+
+
+@pytest.mark.parametrize("n_divisor,height", sorted(SLICE_SOLVES))
+def test_slice_solve_pinned(n_divisor, height):
+    g = build_graph(enumerate_S(n_divisor, height))
+    r = solve(g)
+    st = r.stats
+    sha = None
+    if r.satisfiable:
+        sha = hashlib.sha256(format_coloring(g.vectors, r.coloring).encode()).hexdigest()
+    assert (r.verdict, (st.nodes, st.propagations, st.max_depth), sha) == SLICE_SOLVES[n_divisor, height]
 
 
 # ---------------------------------------------------------------------------

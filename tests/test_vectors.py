@@ -83,6 +83,53 @@ def test_exactly_one_sign_is_well_signed(v):
     assert is_well_signed(v) != is_well_signed(neg)
 
 
+def _is_well_signed_oracle(v):
+    """The list-based definition that `is_well_signed` replaced."""
+    if v == (0, 0, 0):
+        raise ValueError("the zero vector is neither well-signed nor its negation")
+    nonzero = [e for e in v if e != 0]
+    if len(nonzero) < 3:
+        return nonzero[0] > 0
+    return sum(e > 0 for e in nonzero) >= 2
+
+
+def _canonicalize_oracle(v):
+    """The definition that `canonicalize` replaced: divide, then flip."""
+    if v == (0, 0, 0):
+        raise ValueError("cannot canonicalize the zero vector")
+    g = math.gcd(*v)
+    w = (v[0] // g, v[1] // g, v[2] // g)
+    if _is_well_signed_oracle(w):
+        return w
+    return (-w[0], -w[1], -w[2])
+
+
+big_entry = st.one_of(st.integers(-10**12, 10**12), st.sampled_from((0, 1, -1)))
+
+
+@given(st.tuples(big_entry, big_entry, big_entry), st.booleans())
+def test_canonical_form_matches_the_list_based_definitions(v, as_list):
+    # equal magnitudes and zeros are drawn often, so ties and every sign
+    # pattern with one, two or three nonzero entries occur
+    arg = list(v) if as_list else v
+    if v == (0, 0, 0):
+        for f in (is_well_signed, canonicalize):
+            with pytest.raises(ValueError, match="zero vector"):
+                f(arg)
+        return
+    assert is_well_signed(arg) == _is_well_signed_oracle(v)
+    w = canonicalize(arg)
+    assert type(w) is tuple and w == _canonicalize_oracle(v)
+
+
+@pytest.mark.parametrize("zero", [(0, 0, 0), [0, 0, 0]])
+def test_zero_vector_is_refused(zero):
+    with pytest.raises(ValueError, match="zero vector"):
+        is_well_signed(zero)
+    with pytest.raises(ValueError, match="zero vector"):
+        canonicalize(zero)
+
+
 def test_orthogonality():
     assert is_orthogonal((2, 1, -1), (-3, 8, 2))
     assert is_orthogonal((1, 0, 0), (0, 1, 0))
@@ -417,3 +464,19 @@ def test_file_round_trip_bit_exact():
 def test_parse_reports_line_number():
     with pytest.raises(ValueError, match="line 3"):
         parse_vector_set("# name: x\n1 0 0\n1 0\n")
+
+
+def test_parse_refuses_a_count_its_vector_lines_disagree_with():
+    text = format_vector_set(build_Qn(1))  # "# vectors: 3"
+    truncated = text[: text.rindex("1 0 0")]  # drop the last line
+    with pytest.raises(ValueError, match="header says 3 vectors, the file has 2"):
+        parse_vector_set(truncated)
+    with pytest.raises(ValueError, match="header says 3 vectors, the file has 4"):
+        parse_vector_set(text + "1 1 1\n")
+    assert len(parse_vector_set("1 0 0\n0 1 0\n")) == 2  # no header, no check
+
+
+@pytest.mark.parametrize("header", ["N: 4x", "H: eight", "vectors: 3.0", "vectors:"])
+def test_parse_reports_a_non_integer_header_with_its_line(header):
+    with pytest.raises(ValueError, match="line 2: expected an integer after"):
+        parse_vector_set(f"# name: x\n# {header}\n1 0 0\n")
