@@ -14,13 +14,21 @@ pair is a candidate when its lines are orthogonal mod every sieve prime,
 and every candidate still gets the exact test, so the sieve only saves
 work: it never adds or drops an edge.  Over F_p the sieve is the prime p
 alone and is exact.
+
+Sets of vertices are int bitsets, bit j for vertex j: the sieve's
+candidates, and later[i], the exact neighbours j > i of vertex i.  The
+triples of an edge (i, j) are the set bits k of later[i] & later[j], walked
+in ascending order, so edges and triples both come out sorted.  The same
+rule serves Z and F_p, including unreduced sets mod p, where several
+vertices share a line or a line is isotropic: it only intersects
+orthogonality tests already made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .vectors import Vec3, VectorSet, dot
 
@@ -126,6 +134,14 @@ def _sieve(vecs: tuple[Vec3, ...], q: int) -> tuple[list[int], list[int]]:
     return slot, orth
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
     """Orthogonality graph of a vector set, deterministic given the set.
 
@@ -139,25 +155,21 @@ def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
     else:
         primes = [p]
     sieves = [_sieve(vecs, q) for q in primes]
-    later: list[set[int]] = []  # later[i]: the j > i orthogonal to vertex i
+    later = []  # later[i]: bitset of the j > i orthogonal to vertex i
     edges = []
     for i, (a, b, c) in enumerate(vecs):
-        cand = -1
+        cand = -2 << i  # the j > i
         for slot, orth in sieves:
             cand &= orth[slot[i]]
-        cand >>= i + 1
-        row = []
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            j = i + low.bit_length()
+        mask = 0
+        for j in _bits(cand):
             x, y, z = vecs[j]
             d = a * x + b * y + c * z
             if (d if p is None else d % p) == 0:
-                row.append(j)
-        edges.extend((i, j) for j in row)
-        later.append(set(row))
-    triples = [(i, j, k) for i, j in edges for k in sorted(later[i] & later[j])]
+                edges.append((i, j))
+                mask |= 1 << j
+        later.append(mask)
+    triples = [(i, j, k) for i, j in edges for k in _bits(later[i] & later[j])]
     return OrthoGraph(s, tuple(edges), tuple(triples))
 
 

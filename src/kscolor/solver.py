@@ -34,7 +34,7 @@ CNF_BRUTE_LIMIT = 20
 _BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveStats:
     nodes: int = 0
     propagations: int = 0
@@ -81,7 +81,7 @@ class _Search:
                 self.vertex_triples[v].append(t)
         self.order = sorted(range(n), key=lambda v: (-len(self.vertex_triples[v]), v))
         self.cursor = 0  # every position of order before it is assigned
-        self.stats = SolveStats()
+        self.nodes = self.propagations = self.max_depth = 0
 
     def _set(self, v: int, c: int) -> bool:
         """Assign and propagate to fixpoint; False on conflict (no undo)."""
@@ -101,7 +101,7 @@ class _Search:
                     if cw is None:
                         assign[w] = 0
                         self.trail.append(w)
-                        self.stats.propagations += 1
+                        self.propagations += 1
                         queue.append(w)
             else:
                 for t in self.vertex_triples[u]:
@@ -118,7 +118,7 @@ class _Search:
                     if zeros == 2 and free >= 0:
                         assign[free] = 1
                         self.trail.append(free)
-                        self.stats.propagations += 1
+                        self.propagations += 1
                         queue.append(free)
         return True
 
@@ -141,29 +141,32 @@ class _Search:
         self.cursor = i
         return order[i] if i < n else None
 
+    def _result(self, coloring: Optional[tuple[int, ...]]) -> SolveResult:
+        stats = SolveStats(self.nodes, self.propagations, self.max_depth)
+        return SolveResult(coloring is not None, coloring, stats)
+
     def run(self, fixed: Sequence[tuple[int, int]] = ()) -> SolveResult:
-        stats = self.stats
         for v, c in fixed:
             if not self._set(v, c):
-                return SolveResult(False, None, stats)
+                return self._result(None)
         path: list[tuple[int, int, int, int]] = []  # (vertex, value, trail mark, cursor) per decision
         v, value = self._pick(), 1
         while v is not None:
-            stats.nodes += 1
+            self.nodes += 1
             mark = len(self.trail)
             if self._set(v, value):
                 path.append((v, value, mark, self.cursor))
-                stats.max_depth = max(stats.max_depth, len(path))
+                self.max_depth = max(self.max_depth, len(path))
                 v, value = self._pick(), 1
                 continue
             self._undo(mark)
             while value == 0:  # 0 failed too: back up to the latest decision at 1
                 if not path:
-                    return SolveResult(False, None, stats)
+                    return self._result(None)
                 v, value, mark, self.cursor = path.pop()
                 self._undo(mark)
             value = 0
-        return SolveResult(True, tuple(self.assign), stats)  # type: ignore[arg-type]
+        return self._result(tuple(self.assign))  # type: ignore[arg-type]
 
 
 def _wlog_fixed(g: OrthoGraph) -> list[tuple[int, int]]:
@@ -211,9 +214,7 @@ def solve_bruteforce(g: OrthoGraph) -> SolveResult:
         (1 << (n - 1 - i)) | (1 << (n - 1 - j)) | (1 << (n - 1 - k))
         for i, j, k in g.triples
     ]
-    stats = SolveStats()
-    for m in range(1 << n):
-        stats.nodes += 1
+    for m in range(1 << n):  # the (m + 1)-th coloring tried
         ok = True
         for em in edge_masks:
             if (m & em).bit_count() > 1:
@@ -226,8 +227,8 @@ def solve_bruteforce(g: OrthoGraph) -> SolveResult:
                     break
         if ok:
             coloring = tuple((m >> (n - 1 - i)) & 1 for i in range(n))
-            return SolveResult(True, coloring, stats)
-    return SolveResult(False, None, stats)
+            return SolveResult(True, coloring, SolveStats(nodes=m + 1))
+    return SolveResult(False, None, SolveStats(nodes=1 << n))
 
 
 def solve_set(s: VectorSet, wlog: bool = False) -> SolveResult:

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -48,6 +50,15 @@ def _cross(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
+
+
+def _line_family(p):
+    """The non-isotropic lines of F_p^3, first nonzero entry 1."""
+    return VectorSet(tuple(
+        v
+        for v in product(range(p), repeat=3)
+        if v != (0, 0, 0) and next(x for x in v if x) == 1 and dot(v, v) % p
+    ))
 
 
 def test_basis_triple_graph():
@@ -123,6 +134,50 @@ def test_Q_mod_a_large_prime_matches_oracle():
     assert graph_stats(g) == GraphStats(85, Q_EDGES, Q_TRIPLES, Q_BARE_EDGES)
 
 
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# the isotropic residue triples (v.v = 0 mod p) of each small prime
+ISOTROPIC = {
+    p: [v for v in product(range(p), repeat=3) if v != (0, 0, 0) and dot(v, v) % p == 0]
+    for p in SMALL_PRIMES
+}
+small = st.integers(-20, 20)
+
+
+@st.composite
+def unreduced_sets(draw):
+    """A prime p and integer vectors on a few lines mod p, at least one of
+    them isotropic, each line holding at least two vertices."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    bases = draw(st.lists(st.tuples(small, small, small), max_size=4))
+    bases += draw(st.lists(st.sampled_from(ISOTROPIC[p]), min_size=1, max_size=3))
+    vecs = []
+    for u in bases:
+        if all(x % p == 0 for x in u):
+            continue
+        # k u + p w lies on the line of u mod p; u is parallel to at most
+        # one of the axes w = e2, e3, so two of these are distinct lines over Z
+        extra = draw(st.lists(st.tuples(st.integers(1, p - 1), st.tuples(small, small, small)),
+                              max_size=2))
+        for k, w in [(1, (0, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))] + extra:
+            vecs.append(tuple(k * x + p * y for x, y in zip(u, w)))
+    return p, vecs
+
+
+@settings(deadline=None)
+@given(unreduced_sets())
+def test_unreduced_sets_mod_small_primes_match_oracle(case):
+    p, vecs = case
+    s = VectorSet.from_iterable(vecs)
+    n = len(s)
+    assert any(dot(v, v) % p == 0 for v in s.vectors)
+    assert any(all(x % p == 0 for x in _cross(s.vectors[i], s.vectors[j]))
+               for i, j in combinations(range(n), 2))  # two vertices on one line
+    g = build_graph(s, p)
+    edges, triples = _oracle(s.vectors, p)
+    assert list(g.edges) == sorted(edges)
+    assert list(g.triples) == sorted(triples)
+
+
 def test_slice_graph_matches_pair_scan():
     # the triples (i, j, k) are the edges (i, j) whose canonical cross
     # product is a vertex k > j
@@ -145,15 +200,11 @@ def test_slice_graph_matches_pair_scan():
     assert list(g.triples) == sorted(triples)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_graph_mod_p_matches_oracle(p):
-    # representatives of the non-isotropic lines of F_p^3
-    lines = [
-        v
-        for v in product(range(p), repeat=3)
-        if v != (0, 0, 0) and next(x for x in v if x) == 1 and dot(v, v) % p
-    ]
-    g = build_graph(VectorSet(tuple(lines)), p)
+    family = _line_family(p)
+    lines = family.vectors
+    g = build_graph(family, p)
     n = len(lines)
     orth = {
         (i, j) for i, j in combinations(range(n), 2) if dot(lines[i], lines[j]) % p == 0
@@ -166,6 +217,43 @@ def test_graph_mod_p_matches_oracle(p):
     )
     # every orthogonal pair of non-isotropic lines completes to a triple
     assert graph_stats(g).bare_edges == 0 and 3 * len(g.triples) == len(g.edges)
+
+
+# sha256 of repr((edges, triples)), taken while the triples were still
+# found by intersecting Python sets: pins both lists and their order.
+GRAPH_PINS = [
+    pytest.param(partial(enumerate_S, 462, 8), None,
+                 "76c71baebd1f33411d2e97d00e3903fcce5da380d6a0244b015d615236409ee7", id="S(462)|H=8"),
+    pytest.param(partial(enumerate_S, 462, 16), None,
+                 "7858f4368fcd69f4ff70a52a988d794c5c5d32eb44429fb3a373cb6678133a1b", id="S(462)|H=16"),
+    pytest.param(partial(enumerate_S, 462, 24), None,
+                 "3b35636ee5471f3e052410d77faaeec274e4676216bcee390afecee3495987a9", id="S(462)|H=24"),
+    pytest.param(partial(enumerate_S, 35, 30), None,
+                 "4c68dad4056e3003f1833cfd8747ed02552624aab46d38f609ffaa197e378d52", id="S(35)|H=30"),
+    pytest.param(partial(enumerate_S, 35, 50), None,
+                 "8ff6ee11cb0d65af6e86dce1fedb994e9370de5b5b1b935b55bd24f22d3609e2", id="S(35)|H=50"),
+    pytest.param(partial(enumerate_S, 455, 30), None,
+                 "0b773b51d872e3a7cfef0fac76560f7601d7503a7da36a56e3ffa28e6aebc8af", id="S(455)|H=30"),
+    pytest.param(partial(enumerate_S, 455, 10), None,
+                 "9fbb708a3aa8c1454a5910d8d557122b504ad023edd1d6019fcdc3c343f4cd44", id="S(455)|H=10"),
+    pytest.param(build_Q, None,
+                 "178e1405e0a63c783254102eda1cbf7792b6675492d3a5bc406a44c068ae1145", id="Q"),
+    pytest.param(partial(_line_family, 31), 31,
+                 "74fdc5eb78f6f7cd657383a4f2517eca67a281b9aee3a6e1aea5c3c0b5826687", id="F_31"),
+    pytest.param(partial(_line_family, 61), 61,
+                 "965551339ef8e983c2872391df6371029cc0a60f68c95d7d1013d75216846a8b", id="F_61"),
+    pytest.param(partial(enumerate_S, 462, 3), 5,
+                 "a1c5ca4e29a90689b3346ecab89a25f38f65eded4cf02c5b2a82d46f5acc296f", id="S(462)|H=3 mod 5"),
+    pytest.param(build_Q, 1000000000039,
+                 "178e1405e0a63c783254102eda1cbf7792b6675492d3a5bc406a44c068ae1145",
+                 id="Q mod 1000000000039"),
+]
+
+
+@pytest.mark.parametrize("build_set, p, sha", GRAPH_PINS)
+def test_graph_pinned(build_set, p, sha):
+    g = build_graph(build_set(), p)
+    assert hashlib.sha256(repr((g.edges, g.triples)).encode()).hexdigest() == sha
 
 
 def test_triples_are_edge_closed():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -68,6 +69,13 @@ def test_solve_rejects_a_wrong_coloring(monkeypatch):
     monkeypatch.setattr(solver._Search, "run", lambda self, fixed=(): wrong)
     with pytest.raises(RuntimeError, match="violates"):
         solve(g)
+
+
+def test_solve_stats_are_frozen():
+    g = build_graph(build_Q())
+    for result in (solve(g), solve_bruteforce(build_graph(build_Qn(1)))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.stats.nodes = 0
 
 
 def test_deep_search_leaves_the_recursion_limit_alone(monkeypatch):
