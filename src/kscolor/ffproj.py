@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .orthograph import _line, build_graph
+from .orthograph import build_graph
 from .solver import SolveResult, solve
 from .vectors import Vec3, VectorSet, norm_sq
 
@@ -83,8 +83,11 @@ def _line_of(m: Mat, p: int) -> Optional[Vec3]:
     """The line v (first nonzero entry 1) with m == project_mod_p(v, p), or
     None when m is not a rank-1 projection mod p."""
     rows = [r for r in (m[0:3], m[3:6], m[6:9]) if any(x % p for x in r)]
-    v = _line(rows[0], p) if rows else None
-    return v if v and norm_sq(v) % p and project_mod_p(v, p) == m else None
+    if not rows:
+        return None
+    inv = pow(next(x for x in rows[0] if x % p), -1, p)
+    v = tuple(x * inv % p for x in rows[0])
+    return v if norm_sq(v) % p and project_mod_p(v, p) == m else None
 
 
 def _complement(m: Mat, p: int) -> Mat:

@@ -6,39 +6,48 @@ full measurement contexts that additionally demand "exactly one colored 1"
 in dimension 3.  Edges that extend to no triple still carry their pair
 constraint and are counted separately in the stats.
 
-The graph is built through a sieve of lines mod small primes.  If u.v = 0,
-then u.v = 0 mod every prime q.  A canonical vector is primitive, so it is
-never 0 mod q: it stands for a line of F_q^3, and the lines orthogonal to
-it mod q are the q + 1 points of one projective line, listed directly.  A
-pair is a candidate when its lines are orthogonal mod every sieve prime,
-and every candidate still gets the exact test, so the sieve only saves
-work: it never adds or drops an edge.  Over F_p the sieve is the prime p
-alone and is exact.
+The graph is built through a sieve of lines mod primes.  A canonical
+vector is primitive, so it is never 0 mod a prime q: it stands for a line
+of F_q^3, and the lines orthogonal to it mod q are the q + 1 points of one
+projective line, whose integer codes are computed directly.  A pair is an
+edge when its lines are orthogonal mod every sieve prime.  Over Z the
+primes are taken in order until their product P exceeds 3 max|entry|^2 >=
+|u.v|; then u.v = 0 mod P forces u.v = 0 (Chinese remainder theorem), so
+the sieve is exact and no pair gets a dot product.  Over F_p the sieve is
+the prime p alone, exact by definition.
 
-Sets of vertices are int bitsets, bit j for vertex j: the sieve's
-candidates, and later[i], the exact neighbours j > i of vertex i.  The
-triples of an edge (i, j) are the set bits k of later[i] & later[j], walked
-in ascending order, so edges and triples both come out sorted.  The same
-rule serves Z and F_p, including unreduced sets mod p, where several
-vertices share a line or a line is isotropic: it only intersects
-orthogonality tests already made.
+Sets of vertices are int bitsets, bit j for vertex j: the sieve's rows, and
+later[i], the neighbours j > i of vertex i.  The triples of an edge (i, j)
+are the set bits k of later[i] & later[j], walked in ascending order, so
+edges and triples both come out sorted.  The same rule serves Z and F_p,
+including unreduced sets mod p, where several vertices share a line or a
+line is isotropic: it only intersects orthogonality tests already made.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .vectors import Vec3, VectorSet, dot
+from .vectors import Vec3, VectorSet
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
 
-#: Sieve primes over Z, taken in order until their product exceeds
-#: 3 max|entry|^2 >= |u.v|: from there on the sieve lets through exactly the
-#: edges, and a further prime would remove no candidate.
-SIEVE_PRIMES = (2, 3, 5, 7, 11, 13)
+
+def _sieve_primes(bound: int) -> list[int]:
+    """The primes in increasing order until their product exceeds bound.
+
+    With bound = 3 max|entry|^2 >= |u.v|, a pair orthogonal mod each of
+    them is orthogonal over Z: the sieve through them is exact.
+    """
+    primes, product, q = [], 1, 2
+    while product <= bound:
+        if all(q % d for d in primes):
+            primes.append(q)
+            product *= q
+        q += 1
+    return primes
 
 
 @dataclass(frozen=True)
@@ -81,57 +90,52 @@ class OrthoGraph:
         )
 
 
-def _line(v: Vec3, q: int) -> Vec3:
-    """The line of v mod the prime q, scaled so its first nonzero entry is 1
-    (v is not 0 mod q)."""
-    a, b, c = v[0] % q, v[1] % q, v[2] % q
-    inv = pow(a or b or c, -1, q)
-    return a * inv % q, b * inv % q, c * inv % q
+def _sieve(vecs: tuple[Vec3, ...], q: int) -> list[int]:
+    """For each vertex, the bitset of the vertices whose lines are orthogonal
+    to its own mod q.
 
-
-def _perp_basis(l: Vec3, q: int) -> tuple[Vec3, Vec3]:
-    """An echelon basis e1, e2 of the plane orthogonal to the line l mod q:
-    its lines are e2 and e1 + t e2 (t = 0 .. q - 1), each already scaled."""
-    a, b, c = l
-    if c:
-        inv = pow(c, -1, q)
-        return (1, 0, -a * inv % q), (0, 1, -b * inv % q)
-    if b:
-        return (1, -a * pow(b, -1, q) % q, 0), (0, 0, 1)
-    return (0, 1, 0), (0, 0, 1)
-
-
-def _sieve(vecs: tuple[Vec3, ...], q: int) -> tuple[list[int], list[int]]:
-    """Vertex i's line index slot[i] mod q, and orth[k]: the bitset of the
-    vertices whose lines are orthogonal mod q to line k."""
-    index: dict[Vec3, int] = {}
-    of_residue: dict[Vec3, int] = {}  # residue triple mod q -> its line's index
+    A line scaled to first nonzero entry 1 has the code bq + c for (1, b, c),
+    q^2 + c for (0, 1, c) and q^2 + q for (0, 0, 1).  Only lines that occur
+    are listed, and each costs its q + 1 perp codes or, when fewer lines
+    occur than that, one test per occurring line.
+    """
+    qq = q * q
+    inverse: dict[int, int] = {}  # residue -> its inverse mod q
+    members: dict[int, int] = {}  # line code -> bitset of the vertices on it
     slot = []
-    for x, y, z in vecs:
-        r = x % q, y % q, z % q
-        k = of_residue.get(r)
-        if k is None:
-            k = of_residue[r] = index.setdefault(_line(r, q), len(index))
-        slot.append(k)
-    members = [0] * len(index)
-    for i, k in enumerate(slot):
-        members[k] |= 1 << i
-    orth = []
-    for l in index:
-        if q + 1 >= len(index):  # no more lines occur than l^perp holds
-            perp = [m for m in index if dot(l, m) % q == 0]
+    for i, (x, y, z) in enumerate(vecs):
+        a, b = x % q, y % q
+        if a:
+            t = inverse.get(a) or inverse.setdefault(a, pow(a, -1, q))
+            k = b * t % q * q + z * t % q
+        elif b:
+            t = inverse.get(b) or inverse.setdefault(b, pow(b, -1, q))
+            k = qq + z * t % q
         else:
-            (a1, b1, c1), e2 = _perp_basis(l, q)
-            a2, b2, c2 = e2
-            perp = [e2] + [((a1 + t * a2) % q, (b1 + t * b2) % q, (c1 + t * c2) % q)
-                           for t in range(q)]
+            k = qq + q
+        slot.append(k)
+        members[k] = members.get(k, 0) | 1 << i
+    lines = {k: (1, *divmod(k, q)) if k < qq else (0, 1, k - qq) if k < qq + q else (0, 0, 1)
+             for k in members}
+    orth = {}
+    for k, (a, b, c) in lines.items():
+        if q + 1 >= len(lines):  # no more lines occur than l^perp holds
+            perp = [m for m, (d, e, f) in lines.items() if (a * d + b * e + c * f) % q == 0]
+        elif c:  # (0, 1, beta) and (1, t, alpha + t beta)
+            inv = pow(-c, -1, q)
+            alpha, beta = a * inv % q, b * inv % q
+            perp = [qq + beta, *(t * q + (alpha + t * beta) % q for t in range(q))]
+        elif b:  # (0, 0, 1) and (1, -a/b, t)
+            start = -a * pow(b, -1, q) % q * q
+            perp = [qq + q, *range(start, start + q)]
+        else:  # (0, 0, 1) and (0, 1, t)
+            perp = range(qq, qq + q + 1)
         mask = 0
-        for m in perp:
-            k = index.get(m)
-            if k is not None:
-                mask |= members[k]
-        orth.append(mask)
-    return slot, orth
+        for bits in map(members.get, perp):
+            if bits:
+                mask |= bits
+        orth[k] = mask
+    return [orth[k] for k in slot]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -150,25 +154,16 @@ def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
     """
     vecs = s.vectors
     if p is None:
-        bound = 3 * max((abs(x) for v in vecs for x in v), default=0) ** 2
-        primes = [q for k, q in enumerate(SIEVE_PRIMES) if math.prod(SIEVE_PRIMES[:k]) <= bound]
+        primes = _sieve_primes(3 * max((abs(x) for v in vecs for x in v), default=0) ** 2)
     else:
         primes = [p]
-    sieves = [_sieve(vecs, q) for q in primes]
     later = []  # later[i]: bitset of the j > i orthogonal to vertex i
-    edges = []
-    for i, (a, b, c) in enumerate(vecs):
-        cand = -2 << i  # the j > i
-        for slot, orth in sieves:
-            cand &= orth[slot[i]]
-        mask = 0
-        for j in _bits(cand):
-            x, y, z = vecs[j]
-            d = a * x + b * y + c * z
-            if (d if p is None else d % p) == 0:
-                edges.append((i, j))
-                mask |= 1 << j
+    for i, rows in enumerate(zip(*[_sieve(vecs, q) for q in primes])):
+        mask = -2 << i  # the j > i
+        for row in rows:
+            mask &= row
         later.append(mask)
+    edges = [(i, j) for i, mask in enumerate(later) for j in _bits(mask)]
     triples = [(i, j, k) for i, j in edges for k in _bits(later[i] & later[j])]
     return OrthoGraph(s, tuple(edges), tuple(triples))
 

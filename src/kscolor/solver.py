@@ -79,7 +79,9 @@ class _Search:
         for t in triples:
             for v in t:
                 self.vertex_triples[v].append(t)
-        self.order = sorted(range(n), key=lambda v: (-len(self.vertex_triples[v]), v))
+        # most triples first: a reversed sort is still stable, so ties keep index order
+        self.order = sorted(range(n), key=[len(t) for t in self.vertex_triples].__getitem__,
+                            reverse=True)
         self.cursor = 0  # every position of order before it is assigned
         self.nodes = self.propagations = self.max_depth = 0
 

@@ -10,9 +10,8 @@ write is byte-reproducible.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
@@ -82,25 +81,25 @@ def canonicalize(v: Vec3) -> Vec3:
     return x // g, y // g, z // g
 
 
-@lru_cache(maxsize=None)
-def radical(n: int) -> int:
-    """Product of the distinct prime divisors of n; radical(1) == 1."""
-    if n < 1:
-        raise ValueError("radical requires a positive integer")
-    rad, m, p = 1, n, 2
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime divisors of n >= 1, ascending (none for n < 2)."""
+    primes, m, p = [], n, 2
     while p * p <= m:
         if m % p == 0:
-            rad *= p
+            primes.append(p)
             while m % p == 0:
                 m //= p
         p += 1 if p == 2 else 2
     if m > 1:
-        rad *= m
-    return rad
+        primes.append(m)
+    return primes
 
 
-def is_squarefree(n: int) -> bool:
-    return n >= 1 and radical(n) == n
+def radical(n: int) -> int:
+    """Product of the distinct prime divisors of n; radical(1) == 1."""
+    if n < 1:
+        raise ValueError("radical requires a positive integer")
+    return math.prod(_prime_factors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +172,8 @@ class VectorSet:
 
     def __post_init__(self) -> None:
         vecs = self.vectors
-        for v in vecs:
-            if canonicalize(v) != v:
+        for v in vecs:  # a primitive, well-signed tuple: canonicalize(v) == v
+            if not isinstance(v, tuple) or math.gcd(*v) != 1 or not is_well_signed(v):
                 raise ValueError(f"{v} is not in canonical form")
         for u, v in zip(vecs, vecs[1:]):
             if not u < v:
@@ -217,23 +216,28 @@ class VectorSet:
         )
 
 
-#: The 24 signed permutations whose nonzero entries multiply to 1.  With -I
-#: they make up all 48, and -I fixes every line.
-_HALF_GROUP = tuple(g for g in signed_permutations() if math.prod(map(sum, g)) == 1)
+def _box_lines(norms: list[int], bound: int) -> Iterator[Vec3]:
+    """The canonical vector of each line whose primitive vectors lie in the
+    box [-bound, bound]^3 and have a norm in the ascending list `norms`,
+    once per image (a line with a zero or repeated entry recurs).
 
-
-def _box_lines(norms: set[int], bound: int) -> Iterator[Vec3]:
-    """A vector on each line whose primitive vectors lie in the box
-    [-bound, bound]^3 and have a norm in `norms`.  Sorting absolute values
-    keeps norm and box, so these are the signed permutations of the
-    primitive points 0 <= x <= y <= z <= bound of those norms."""
+    Sorting absolute values keeps norm and box, so these are the images of
+    the primitive points 0 <= x <= y <= z <= bound of those norms.  For each
+    (y, z) a bisection finds the norms in [y^2 + z^2, 2y^2 + z^2], and x is
+    the root of the rest when it is a square: about bound^2 / 2 bisections,
+    not bound^3 / 6 points.  The images are the permutations with signs +++,
+    -++, +-+ and ++-, one of each pair g, -g of the 48 signed permutations;
+    they are primitive, so a sign flip makes each one canonical.
+    """
     for z in range(1, bound + 1):
         for y in range(z + 1):
             yz = y * y + z * z
-            for x in range(y + 1):
-                if yz + x * x in norms and math.gcd(x, y, z) == 1:
-                    for g in _HALF_GROUP:
-                        yield apply_matrix(g, (x, y, z))
+            for n in norms[bisect_left(norms, yz):bisect_right(norms, yz + y * y)]:
+                x = math.isqrt(n - yz)
+                if x * x == n - yz and math.gcd(x, y, z) == 1:
+                    for a, b, c in permutations((x, y, z)):
+                        for v in ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c)):
+                            yield v if is_well_signed(v) else (-v[0], -v[1], -v[2])
 
 
 def build_Qn(n: int) -> VectorSet:
@@ -250,7 +254,7 @@ def build_Qn(n: int) -> VectorSet:
     if n in _MULTISET_BLOCKS:
         vecs = [apply_matrix(g, _MULTISET_BLOCKS[n]) for g in signed_permutations()]
     else:
-        vecs = _box_lines({n}, math.isqrt(n))
+        vecs = _box_lines([n], math.isqrt(n))
     return VectorSet.from_iterable(vecs, name=f"Q_{n}")
 
 
@@ -269,17 +273,20 @@ def enumerate_S(n_divisor: int, height: int) -> VectorSet:
     is only conclusive upward for UNSAT verdicts.
 
     A point's norm is a square times its primitive part's, so each line of
-    the cube with an admissible norm has a primitive vector of admissible norm.
-    `_box_lines` tests about H^3/6 points, not the (2H+1)^3 of the cube.
+    the cube with an admissible norm has a primitive vector of admissible
+    norm.  The admissible norms up to 3H^2 are the products of powers of N's
+    primes, so N is factored once and no norm is tested.
     """
-    if not is_squarefree(n_divisor):
+    primes = _prime_factors(n_divisor)
+    if math.prod(primes) != n_divisor:
         raise ValueError(f"N must be squarefree, got {n_divisor} (pass radical(N))")
     if height < 1:
         raise ValueError("height bound must be >= 1")
-    admissible = {q for q in range(1, 3 * height * height + 1)
-                  if n_divisor % radical(q) == 0}
-    return VectorSet.from_iterable(
-        _box_lines(admissible, height),
+    limit, norms = 3 * height * height, [1]
+    for p in primes:
+        norms += [m * p**e for m in norms for e in range(1, limit.bit_length()) if m * p**e <= limit]
+    return VectorSet(
+        tuple(sorted(set(_box_lines(sorted(norms), height)))),
         name=f"S({n_divisor})|H={height}", n_divisor=n_divisor, height=height)
 
 

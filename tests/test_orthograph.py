@@ -256,6 +256,21 @@ def test_graph_pinned(build_set, p, sha):
     assert hashlib.sha256(repr((g.edges, g.triples)).encode()).hexdigest() == sha
 
 
+# Pairs whose dot product is divisible by every prime below the last one
+# their entries need: 30030 = 2*3*5*7*11*13 needs primes to 29, 30030 from
+# entries <= 297 needs 17, 223092870 = 2*3*...*23 from entries <= 22293
+# needs 29.  A sieve capped at 13, or one prime short, calls them orthogonal.
+@pytest.mark.parametrize("u, v", [
+    ((1, 0, 0), (30030, 1, 0)),
+    ((101, 1, 1), (297, 32, 1)),
+    ((10007, 1, 1), (22293, 6818, 1)),
+])
+def test_sieve_is_exact_where_small_primes_are_not(u, v):
+    assert dot(u, v) in (30030, 223092870)
+    g = build_graph(VectorSet.from_iterable([u, v]))
+    assert g.edges == () and g.triples == ()
+
+
 def test_triples_are_edge_closed():
     g = build_graph(build_Q())
     edge_set = set(g.edges)

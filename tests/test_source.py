@@ -42,3 +42,20 @@ def test_traced_entry_points_exist():
                 missing.append(f"{module}.{name}")
     assert len(entry_points) == 5
     assert missing == []
+
+
+def test_the_only_process_wide_memo_is_is_prime():
+    # an lru_cache or cache is state every caller in the process shares
+    def is_memo(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        return name in ("lru_cache", "cache")
+
+    memoized = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(is_memo(d) for d in node.decorator_list)
+    }
+    assert memoized == {"ffproj.is_prime"}

@@ -160,6 +160,11 @@ def test_radical_against_oracle(n):
     assert radical(n) == _radical_oracle(n)
 
 
+def test_radical_keeps_no_memo():
+    # a process-wide memo would only grow, and nothing needs it
+    assert not hasattr(radical, "cache_info")
+
+
 # ---------------------------------------------------------------------------
 # Named constructions
 
@@ -342,8 +347,11 @@ def test_enumerate_S_height_one():
     assert set(s) == _enumerate_S_oracle(2, 1)
 
 
+# H = 12 reaches the ends x = 0 and x = y of the norm scan, and (y, z) with
+# no admissible norm in [y^2 + z^2, 2y^2 + z^2]
 @pytest.mark.parametrize(
-    "n_divisor,height", [(2, 3), (6, 4), (30, 3), (462, 4), (35, 6), (455, 5), (1, 4)]
+    "n_divisor,height", [(2, 3), (6, 4), (30, 3), (462, 4), (35, 6), (455, 5), (1, 4),
+                         (1, 12), (2, 12), (6, 12), (35, 12), (462, 12)]
 )
 def test_enumerate_S_against_oracle(n_divisor, height):
     assert set(enumerate_S(n_divisor, height)) == _enumerate_S_oracle(n_divisor, height)
@@ -444,6 +452,14 @@ def test_vector_set_rejects_duplicates_and_non_canonical():
         VectorSet(((-1, 0, 0),))
     with pytest.raises(ValueError):
         VectorSet(((0, 0, 0),))
+
+
+def test_vector_set_takes_only_canonical_tuples():
+    # the check is canonicalize(v) == v without building a tuple per vector
+    for bad in ([1, 0, 0], (2, 4, 6), (1, 2), (-1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            VectorSet((bad,))
+    assert VectorSet(((-1, 2, 3),)).vectors == ((-1, 2, 3),)
 
 
 def test_vector_set_membership():
