@@ -145,16 +145,9 @@ def cmd_certify(args) -> int:
 
 def cmd_ffproj(args) -> int:
     p = args.p
-    try:
-        prime = ffproj.is_prime(p)
-    except ValueError as exc:
-        raise DomainError(str(exc))
-    if not prime:
-        raise DomainError(f"{p} is not prime")
     if args.reduce:
-        s = _load_set(args.reduce)
-        try:
-            reduced = ffproj.reduce_set_mod_p(s, p)
+        try:  # a file error is a DomainError and passes through
+            reduced = ffproj.reduce_set_mod_p(_load_set(args.reduce), p)
         except ValueError as exc:
             raise DomainError(str(exc))
         projs = reduced.projections

@@ -15,17 +15,19 @@ taken mod p.  The algebra keeps the lines it is built from; its matrices are
 built only for output, and mapped back to lines only to check an outside
 rank-1 family.  Integer vectors with p not dividing their norm reduce to
 rank-1 projections q(v)^-1 v v^T mod p.
+
+The prime is checked once, where it enters: by each function here that
+takes p, and by `build_graph`; the loops below them never test it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .orthograph import build_graph
 from .solver import SolveResult, solve
-from .vectors import Vec3, VectorSet, norm_sq
+from .vectors import MILLER_RABIN_BOUND, Vec3, VectorSet, is_prime, norm_sq, require_prime
 
 ENUMERATION_GUARD = 101
 
@@ -35,48 +37,19 @@ ZERO: Mat = (0, 0, 0, 0, 0, 0, 0, 0, 0)
 IDENTITY: Mat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
-#: Miller-Rabin to the prime bases 2 .. 41 decides primality exactly below
-#: this bound (Sorenson and Webster, 2015).
-MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MILLER_RABIN_BOUND = 3317044064679887385961981
-
-
-@lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; ValueError from MILLER_RABIN_BOUND up."""
-    if n >= MILLER_RABIN_BOUND:
-        raise ValueError(f"cannot decide whether {n} is prime: "
-                         f"only numbers below {MILLER_RABIN_BOUND} are tested")
-    if n < 2:
-        return False
-    for b in MILLER_RABIN_BASES:
-        if n % b == 0:
-            return n == b
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for b in MILLER_RABIN_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def project_mod_p(v: Vec3, p: int) -> Mat:
-    """Rank-1 projection q(v)^-1 v v^T reduced mod p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+def _projection(v: Vec3, p: int) -> Mat:
+    """project_mod_p for a modulus already checked to be prime."""
     q = norm_sq(v) % p
     if q == 0:
         raise ValueError(f"{p} divides the norm of {v}; projection has no mod-{p} image")
     scale = pow(q, -1, p)
     return tuple((scale * v[i] * v[j]) % p for i in range(3) for j in range(3))
+
+
+def project_mod_p(v: Vec3, p: int) -> Mat:
+    """Rank-1 projection q(v)^-1 v v^T reduced mod p."""
+    require_prime(p)
+    return _projection(v, p)
 
 
 def _line_of(m: Mat, p: int) -> Optional[Vec3]:
@@ -87,7 +60,7 @@ def _line_of(m: Mat, p: int) -> Optional[Vec3]:
         return None
     inv = pow(next(x for x in rows[0] if x % p), -1, p)
     v = tuple(x * inv % p for x in rows[0])
-    return v if norm_sq(v) % p and project_mod_p(v, p) == m else None
+    return v if norm_sq(v) % p and _projection(v, p) == m else None
 
 
 def _complement(m: Mat, p: int) -> Mat:
@@ -112,25 +85,19 @@ class ProjAlgebra:
         return len(self.projections)
 
     def rank_counts(self) -> dict[int, int]:
-        rank1 = {project_mod_p(v, self.p) for v in self.lines}
-        counts: dict[int, int] = {}
-        for m in self.projections:
-            r = 0 if m == ZERO else 3 if m == IDENTITY else 1 if m in rank1 else 2
-            counts[r] = counts.get(r, 0) + 1
-        return counts
+        return {0: 1, 1: len(self.lines), 2: len(self.lines), 3: 1}  # 0, I, each e and I - e
 
 
 def enumerate_projections(p: int) -> ProjAlgebra:
     """All symmetric idempotent 3x3 matrices over F_p: 0, I, and e and I - e
     for the rank-1 projection e of each of the p^2 non-isotropic lines."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if p > ENUMERATION_GUARD:
         raise ValueError(f"enumeration refused beyond p = {ENUMERATION_GUARD}")
     reps = [(0, 0, 1)] + [(0, 1, z) for z in range(p)]
     reps += [(1, y, z) for y in range(p) for z in range(p)]
     lines = tuple(v for v in reps if norm_sq(v) % p)
-    rank1 = [project_mod_p(v, p) for v in lines]
+    rank1 = [_projection(v, p) for v in lines]
     found = [ZERO, IDENTITY, *rank1, *(_complement(e, p) for e in rank1)]
     return ProjAlgebra(p=p, projections=tuple(sorted(found)), lines=lines)
 
@@ -142,12 +109,12 @@ def search_ba_coloring(algebra: ProjAlgebra) -> SolveResult:
     I -> 1, e -> h(v) and I - e -> 1 - h(v) for e = project_mod_p(v, p).
     """
     p = algebra.p
-    result, colors = _color_lines(algebra.lines, p)
+    result, colors = _color_lines(algebra.lines, p)  # build_graph checks p
     if not result.satisfiable:
         return result
     h = {ZERO: 0, IDENTITY: 1}
     for v, c in colors.items():
-        e = project_mod_p(v, p)
+        e = _projection(v, p)
         h[e], h[_complement(e, p)] = c, 1 - c
     return SolveResult(True, tuple(h[m] for m in algebra.projections), result.stats)
 
@@ -160,7 +127,8 @@ class ReducedSet:
 
 
 def reduce_set_mod_p(s: VectorSet, p: int) -> ReducedSet:
-    images = [project_mod_p(v, p) for v in s]
+    require_prime(p)
+    images = [_projection(v, p) for v in s]
     distinct = tuple(sorted(set(images)))
     return ReducedSet(p=p, projections=distinct, collided=len(distinct) < len(images))
 
@@ -173,8 +141,8 @@ def restricted_ks_search(projs: Sequence[Mat], p: Optional[int] = None) -> Solve
     one.  A coloring is given per input projection.
     """
     projs = list(projs)
-    if projs and p is None:
-        raise ValueError("prime p required")
+    if projs:
+        require_prime(p)
     lines = []
     for m in projs:
         v = _line_of(m, p)

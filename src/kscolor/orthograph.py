@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .vectors import Vec3, VectorSet
+from .vectors import Vec3, VectorSet, is_prime, require_prime
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -43,7 +43,7 @@ def _sieve_primes(bound: int) -> list[int]:
     """
     primes, product, q = [], 1, 2
     while product <= bound:
-        if all(q % d for d in primes):
+        if is_prime(q):
             primes.append(q)
             product *= q
         q += 1
@@ -149,13 +149,14 @@ def _bits(mask: int) -> Iterator[int]:
 def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
     """Orthogonality graph of a vector set, deterministic given the set.
 
-    Vectors u, v are orthogonal when u.v = 0, or with a prime p, when
-    u.v = 0 mod p (the vectors then stand for lines of F_p^3).
+    Vectors u, v are orthogonal when u.v = 0, or with p, which must be prime
+    (ValueError otherwise), when u.v = 0 mod p: they then stand for lines of F_p^3.
     """
     vecs = s.vectors
     if p is None:
         primes = _sieve_primes(3 * max((abs(x) for v in vecs for x in v), default=0) ** 2)
     else:
+        require_prime(p)
         primes = [p]
     later = []  # later[i]: bitset of the j > i orthogonal to vertex i
     for i, rows in enumerate(zip(*[_sieve(vecs, q) for q in primes])):

@@ -102,6 +102,44 @@ def radical(n: int) -> int:
     return math.prod(_prime_factors(n))
 
 
+#: Miller-Rabin to the prime bases 2 .. 41 decides primality exactly below
+#: this bound (Sorenson and Webster, 2015).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError from MILLER_RABIN_BOUND up."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: "
+                         f"only numbers below {MILLER_RABIN_BOUND} are tested")
+    if n < 2:
+        return False
+    for b in MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def require_prime(p: Optional[int]) -> None:
+    """ValueError unless p is a prime: the check made once where a modulus enters."""
+    if p is None or not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 # ---------------------------------------------------------------------------
 # Signed permutations
 

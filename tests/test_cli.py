@@ -259,6 +259,13 @@ def test_ffproj_not_prime(capsys):
     assert main(["ffproj", "--p", "6"]) == 1
 
 
+@pytest.mark.parametrize("reduce", [False, True])
+def test_ffproj_names_a_modulus_that_is_not_prime(reduce, q_file, capsys):
+    assert main(["ffproj", "--p", "4"] + (["--reduce", q_file] if reduce else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: 4 is not prime\n"
+
+
 def test_ffproj_refuses_a_prime_it_cannot_test(q_file, capsys):
     start = time.perf_counter()
     assert main(["ffproj", "--p", "10000000000000000000000013", "--reduce", q_file]) == 1

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from kscolor import ffproj
+from kscolor import ffproj, orthograph, vectors
 from kscolor.ffproj import (
     IDENTITY,
     MILLER_RABIN_BOUND,
@@ -19,6 +19,7 @@ from kscolor.ffproj import (
     restricted_ks_search,
     search_ba_coloring,
 )
+from kscolor.orthograph import build_graph
 from kscolor.solver import solve_cnf
 from kscolor.vectors import build_Q, build_Qn, norm_sq
 
@@ -210,6 +211,57 @@ def test_enumeration_guards():
         enumerate_projections(4)
     with pytest.raises(ValueError):
         enumerate_projections(103)
+
+
+#: Each entry point that takes a modulus, called with a valid input otherwise.
+TAKES_A_MODULUS = {
+    "build_graph": lambda p: build_graph(build_Qn(1), p),
+    "project_mod_p": lambda p: project_mod_p((1, 0, 0), p),
+    "enumerate_projections": enumerate_projections,
+    "reduce_set_mod_p": lambda p: reduce_set_mod_p(build_Qn(1), p),
+    "restricted_ks_search": lambda p: restricted_ks_search([(1, 0, 0, 0, 0, 0, 0, 0, 0)], p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TAKES_A_MODULUS))
+@pytest.mark.parametrize("p", [-5, 0, 1, 4, 9, 25])
+def test_entry_points_refuse_a_modulus_that_is_not_prime(entry, p):
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        TAKES_A_MODULUS[entry](p)
+
+
+@pytest.fixture
+def prime_tests(monkeypatch):
+    """The arguments of every is_prime call, wherever a module holds it."""
+    calls = []
+    real = vectors.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for mod in (vectors, orthograph, ffproj):
+        monkeypatch.setattr(mod, "is_prime", counting)
+    return calls
+
+
+def test_reduction_tests_the_prime_once_per_entry_point(prime_tests):
+    # reduce_set_mod_p, restricted_ks_search and build_graph: 3 vectors or 85
+    counts = []
+    for s in (build_Qn(1), build_Q()):
+        prime_tests.clear()
+        restricted_ks_search(reduce_set_mod_p(s, 13).projections, 13)
+        counts.append(len(prime_tests))
+    assert counts == [3, 3]
+
+
+def test_enumeration_tests_the_prime_once(prime_tests):
+    counts = []
+    for p in (5, 13):
+        prime_tests.clear()
+        enumerate_projections(p).rank_counts()
+        counts.append(len(prime_tests))
+    assert counts == [1, 1]
 
 
 def _check_homomorphism(a: ProjAlgebra, model):

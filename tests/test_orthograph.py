@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kscolor.orthograph import GraphStats, build_graph, graph_stats, to_dot
+from kscolor.orthograph import GraphStats, _sieve_primes, build_graph, graph_stats, to_dot
 from kscolor.vectors import (
     VectorSet,
     apply_symmetry,
@@ -269,6 +269,18 @@ def test_sieve_is_exact_where_small_primes_are_not(u, v):
     assert dot(u, v) in (30030, 223092870)
     g = build_graph(VectorSet.from_iterable([u, v]))
     assert g.edges == () and g.triples == ()
+
+
+def test_sieve_primes_match_trial_division():
+    primes = [q for q in range(2, 30) if all(q % d for d in range(2, q))]
+    for bound in range(10**5 + 1):
+        expected, product = [], 1
+        for q in primes:
+            if product > bound:
+                break
+            expected.append(q)
+            product *= q
+        assert _sieve_primes(bound) == expected, bound
 
 
 def test_triples_are_edge_closed():

@@ -44,7 +44,12 @@ def test_traced_entry_points_exist():
     assert missing == []
 
 
-def test_the_only_process_wide_memo_is_is_prime():
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SOURCE.glob("*.py"))}
+
+
+def test_no_function_keeps_a_process_wide_memo():
     # an lru_cache or cache is state every caller in the process shares
     def is_memo(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
@@ -52,10 +57,21 @@ def test_the_only_process_wide_memo_is_is_prime():
         return name in ("lru_cache", "cache")
 
     memoized = {
-        f"{path.stem}.{node.name}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{stem}.{node.name}"
+        for stem, tree in _package_trees().items()
+        for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(is_memo(d) for d in node.decorator_list)
     }
-    assert memoized == {"ffproj.is_prime"}
+    assert memoized == set()
+
+
+def test_no_module_rebinds_a_global():
+    # a global statement is module state that one call leaves for the next
+    found = [
+        f"{stem}:{node.lineno}"
+        for stem, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
