@@ -13,11 +13,7 @@ import sys
 from . import certificate as cert_mod
 from . import ffproj, orthograph, solver, vectors
 
-BUILD_NAMES = ("Q", "Q1", "Q2", "Q3", "Q6", "Q21", "Q33", "Q77", "S")
-
-
-class DomainError(Exception):
-    pass
+BUILD_NAMES = ("Q", *(f"Q{n}" for n in vectors.Q_BLOCK_NORMS), "S")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,54 +25,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}")
+        raise ValueError(f"cannot write {path}: {exc}")
 
 
 def _build_set(args) -> vectors.VectorSet:
     name = args.name
     if name.startswith("Q"):
         if args.N is not None or args.height is not None:
-            raise DomainError(f"--N and --height apply only to build S, not {name}")
+            raise ValueError(f"--N and --height apply only to build S, not {name}")
         return vectors.build_Q() if name == "Q" else vectors.build_Qn(int(name[1:]))
     if args.N is None:
-        raise DomainError("build S requires --N")
-    try:
-        return vectors.enumerate_S(args.N, 8 if args.height is None else args.height)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+        raise ValueError("build S requires --N")
+    return vectors.enumerate_S(args.N, 8 if args.height is None else args.height)
 
 
 def _load_set(path) -> vectors.VectorSet:
     try:
         return vectors.load_vector_set(path)
     except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except ValueError as exc:
-        raise DomainError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
 
 
 def cmd_build(args) -> int:
     s = _build_set(args)
-    text = vectors.format_vector_set(s)
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, vectors.format_vector_set(s))
     print(f"{s.name or 'set'}: {len(s)} vectors", file=sys.stderr)
     return 0
 
 
 def cmd_graph(args) -> int:
     s = _load_set(args.input)
-    g = orthograph.build_graph(s)
-    if args.dot_out:
-        _write(args.dot_out, orthograph.to_dot(g))
-    else:
-        sys.stdout.write(orthograph.to_dot(g))
+    _write(args.dot_out, orthograph.to_dot(orthograph.build_graph(s)))
     return 0
 
 
@@ -92,20 +81,15 @@ def cmd_stats(args) -> int:
 
 def cmd_solve(args) -> int:
     if args.brute and args.wlog:
-        raise DomainError("--wlog does not apply to --brute")
+        raise ValueError("--wlog does not apply to --brute")
     s = _load_set(args.input)
     g = orthograph.build_graph(s)
     if args.cnf_out:
         _write(args.cnf_out, solver.to_dimacs(solver.export_cnf(g), g.vectors))
-    if args.dot_out:
-        _write(args.dot_out, orthograph.to_dot(g))
-    try:
-        if args.brute:
-            result = solver.solve_bruteforce(g)
-        else:
-            result = solver.solve(g, wlog=args.wlog)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    if args.brute:
+        result = solver.solve_bruteforce(g)
+    else:
+        result = solver.solve(g, wlog=args.wlog)
     if result.satisfiable and args.coloring_out:  # a failed write prints no verdict
         _write(args.coloring_out, solver.format_coloring(g.vectors, result.coloring))
     print(result.verdict)
@@ -120,7 +104,7 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     if args.bundled == bool(args.certificate):
-        raise DomainError("give either a certificate file or --bundled")
+        raise ValueError("give either a certificate file or --bundled")
     s = _load_set(args.input)
     g = orthograph.build_graph(s)
     try:
@@ -129,9 +113,9 @@ def cmd_certify(args) -> int:
         else:
             cert = cert_mod.load_certificate(args.certificate)
     except OSError as exc:
-        raise DomainError(f"cannot read certificate: {exc}")
+        raise ValueError(f"cannot read certificate: {exc}")
     except ValueError as exc:
-        raise DomainError(f"certificate parse error: {exc}")
+        raise ValueError(f"certificate parse error: {exc}")
     result = cert_mod.verify_certificate(g, cert)
     if result.valid:
         print("Valid")
@@ -146,19 +130,13 @@ def cmd_certify(args) -> int:
 def cmd_ffproj(args) -> int:
     p = args.p
     if args.reduce:
-        try:  # a file error is a DomainError and passes through
-            reduced = ffproj.reduce_set_mod_p(_load_set(args.reduce), p)
-        except ValueError as exc:
-            raise DomainError(str(exc))
+        reduced = ffproj.reduce_set_mod_p(_load_set(args.reduce), p)
         projs = reduced.projections
         note = " (collisions merged)" if reduced.collided else ""
         print(f"{len(projs)} rank-1 projections mod {p}{note}")
         result = ffproj.restricted_ks_search(projs, p)
     else:
-        try:
-            algebra = ffproj.enumerate_projections(p)
-        except ValueError as exc:
-            raise DomainError(str(exc))
+        algebra = ffproj.enumerate_projections(p)
         projs = algebra.projections
         ranks = algebra.rank_counts()
         rank_desc = ", ".join(f"rank {r}: {ranks[r]}" for r in sorted(ranks))
@@ -167,8 +145,7 @@ def cmd_ffproj(args) -> int:
     if args.proj_out:
         _write(args.proj_out, ffproj.format_projections(p, projs))
     if result.satisfiable and args.coloring_out:  # a failed write prints no verdict
-        _write(args.coloring_out, "".join(
-            " ".join(str(e) for e in m) + f" {c}\n" for m, c in zip(projs, result.coloring)))
+        _write(args.coloring_out, solver.format_coloring(projs, result.coloring))
     print(result.verdict)
     return 0 if result.satisfiable else 2
 
@@ -202,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--brute", action="store_true", help="use the exhaustive oracle")
     p_solve.add_argument("--wlog", action="store_true", help="fix one basis triple by symmetry")
     p_solve.add_argument("--cnf-out", help="also write a DIMACS CNF encoding")
-    p_solve.add_argument("--dot-out", help="also write a DOT export")
     p_solve.add_argument("--coloring-out", help="write the coloring here on SAT")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -227,7 +203,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

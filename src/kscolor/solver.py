@@ -258,11 +258,8 @@ def export_cnf(g: OrthoGraph) -> CnfFormula:
     return CnfFormula(len(g), tuple(clauses))
 
 
-def to_dimacs(cnf: CnfFormula, vectors: Optional[Sequence[Vec3]] = None) -> str:
-    lines = []
-    if vectors is not None:
-        for i, v in enumerate(vectors):
-            lines.append(f"c vertex {i + 1} = {v[0]} {v[1]} {v[2]}")
+def to_dimacs(cnf: CnfFormula, vectors: Sequence[Vec3]) -> str:
+    lines = [f"c vertex {i + 1} = {v[0]} {v[1]} {v[2]}" for i, v in enumerate(vectors)]
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for clause in cnf.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
@@ -385,14 +382,13 @@ def solve_cnf(num_vars: int, clauses: Sequence[Sequence[int]]) -> Optional[tuple
 
 
 # ---------------------------------------------------------------------------
-# Coloring file format: "x y z <0|1>" per line.
+# Coloring file format: an entry's integers, then its color <0|1>, per line.
 
 
-def format_coloring(vectors: Sequence[Vec3], coloring: Sequence[int]) -> str:
-    lines = [
-        f"{v[0]} {v[1]} {v[2]} {c}" for v, c in zip(vectors, coloring, strict=True)
-    ]
-    return "\n".join(lines) + "\n"
+def format_coloring(entries: Sequence[Sequence[int]], coloring: Sequence[int]) -> str:
+    """One line per entry (a vector or a projection): its integers, then its color."""
+    return "".join(" ".join(map(str, e)) + f" {c}\n"
+                   for e, c in zip(entries, coloring, strict=True))
 
 
 def parse_coloring(text: str, vectors: Sequence[Vec3]) -> tuple[int, ...]:

@@ -35,19 +35,15 @@ def dot(u: Vec3, v: Vec3) -> int:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def is_zero(v: Vec3) -> bool:
-    return v == (0, 0, 0)
-
-
 def is_orthogonal(u: Vec3, v: Vec3) -> bool:
     """Exact integer orthogonality test."""
-    if is_zero(u) or is_zero(v):
+    if not any(u) or not any(v):
         raise ValueError("orthogonality is not defined for the zero vector")
     return dot(u, v) == 0
 
 
 def is_primitive(v: Vec3) -> bool:
-    return not is_zero(v) and math.gcd(*v) == 1
+    return math.gcd(*v) == 1
 
 
 def is_well_signed(v: Vec3) -> bool:

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -9,9 +11,13 @@ import pytest
 
 import kscolor
 
-from kscolor.cli import main
+from kscolor.cli import build_parser, main
 from kscolor.ffproj import parse_projections, reduce_set_mod_p
-from kscolor.vectors import build_Q, build_Qn, format_vector_set, load_vector_set
+from kscolor.vectors import (
+    Q_BLOCK_NORMS, build_Q, build_Qn, format_vector_set, load_vector_set,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -126,10 +132,76 @@ def test_solve_refuses_brute_with_wlog(q_file, capsys):
 
 def test_solve_side_outputs(tmp_path, q_file):
     cnf = tmp_path / "q.cnf"
-    dotf = tmp_path / "q.dot"
-    main(["solve", q_file, "--cnf-out", str(cnf), "--dot-out", str(dotf)])
+    main(["solve", q_file, "--cnf-out", str(cnf)])
     assert "p cnf 85 220" in cnf.read_text()
-    assert dotf.read_text().startswith("graph")
+
+
+def test_solve_leaves_dot_export_to_graph(tmp_path, q_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", q_file, "--dot-out", str(tmp_path / "q.dot")])
+    assert exc.value.code == 1
+    assert not (tmp_path / "q.dot").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{tmp}/nothere.txt"], "error: cannot read {tmp}/nothere.txt: "),
+    (["build", "S", "--N", "6", "--height", "0"], "error: height bound must be >= 1"),
+    (["solve", "{tmp}/nonsym.txt", "--wlog"], "error: symmetry shortcut needs a "),
+    (["certify", "{q}", "{tmp}/nothere.cert"], "error: cannot read certificate: "),
+    (["certify", "{q}", "{tmp}/bad.cert"], "error: certificate parse error: line 1: "),
+    (["ffproj", "--p", "103"], "error: enumeration refused beyond p = 101"),
+])
+def test_user_errors_print_one_error_line(argv, message, tmp_path, q_file, capsys):
+    (tmp_path / "nonsym.txt").write_text("1 0 0\n0 1 0\n0 0 1\n1 1 0\n")
+    (tmp_path / "bad.cert").write_text("frobnicate\n")
+    fill = {"tmp": str(tmp_path), "q": q_file}
+    assert main([a.format(**fill) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(**fill))
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err
+
+
+def test_build_choices_are_the_blocks_of_Q():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    name = next(a for a in commands.choices["build"]._actions if a.dest == "name")
+    assert list(name.choices) == ["Q", *(f"Q{n}" for n in Q_BLOCK_NORMS), "S"]
+
+
+@pytest.mark.parametrize("command", [["solve"], ["ffproj", "--p", "5", "--reduce"]])
+def test_empty_set_writes_the_empty_coloring(command, tmp_path, capsys):
+    empty, coloring = tmp_path / "empty.txt", tmp_path / "c.txt"
+    empty.write_text("# vectors: 0\n")
+    assert main(command + [str(empty), "--coloring-out", str(coloring)]) == 0
+    assert capsys.readouterr().out.endswith("SAT\n")
+    assert coloring.read_bytes() == b""
+
+
+def test_solve_prints_the_empty_coloring_as_nothing(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# vectors: 0\n")
+    assert main(["solve", str(empty)]) == 0
+    assert capsys.readouterr().out == "SAT\n"
+
+
+def _readme_commands():
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("kscolor ")]
+
+
+def test_readme_cli_block_parses():
+    # a flag the README documents but the parser no longer has fails here
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for command in commands:
+        words = shlex.split(command)
+        assert words[0] == "kscolor"
+        parser.parse_args(words[1:])
 
 
 def test_solve_malformed_file(tmp_path, capsys):

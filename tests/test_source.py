@@ -2,10 +2,14 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import kscolor
+from kscolor import cli
 
 SOURCE = Path(kscolor.__file__).resolve().parent
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_package_has_no_assert_statements():
@@ -75,3 +79,17 @@ def test_no_module_rebinds_a_global():
         if isinstance(node, ast.Global)
     ]
     assert found == []
+
+
+def test_install_metadata_names_the_console_script_and_the_certificate():
+    # an offline stand-in for installing the package: the console script and
+    # the package-data glob must point at code and files that exist
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, attr = meta["project"]["scripts"]["kscolor"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
+    package_dir = ROOT / meta["tool"]["setuptools"]["packages"]["find"]["where"][0] / "kscolor"
+    data = {path.relative_to(package_dir).as_posix()
+            for pattern in meta["tool"]["setuptools"]["package-data"]["kscolor"]
+            for path in package_dir.glob(pattern)}
+    assert "data/q_uncolorable.cert" in data
