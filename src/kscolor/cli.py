@@ -8,6 +8,7 @@ from `solve` and `ffproj`, Invalid from `certify`).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import certificate as cert_mod
@@ -34,6 +35,21 @@ def _write(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}")
+
+
+def _write_side_files(files) -> None:
+    """Write each (path, text) in turn.  If a write fails, the regular files
+    already written are removed, so a failed run leaves no side file."""
+    written = []
+    try:
+        for path, text in files:
+            _write(path, text)
+            written.append(path)
+    except ValueError:
+        for path in written:
+            if os.path.isfile(path):
+                os.remove(path)
+        raise
 
 
 def _build_set(args) -> vectors.VectorSet:
@@ -84,14 +100,11 @@ def cmd_solve(args) -> int:
         raise ValueError("--wlog does not apply to --brute")
     s = _load_set(args.input)
     g = orthograph.build_graph(s)
-    if args.cnf_out:
-        _write(args.cnf_out, solver.to_dimacs(solver.export_cnf(g), g.vectors))
-    if args.brute:
-        result = solver.solve_bruteforce(g)
-    else:
-        result = solver.solve(g, wlog=args.wlog)
-    if result.satisfiable and args.coloring_out:  # a failed write prints no verdict
-        _write(args.coloring_out, solver.format_coloring(g.vectors, result.coloring))
+    result = solver.solve_bruteforce(g) if args.brute else solver.solve(g, wlog=args.wlog)
+    side = [(args.cnf_out, solver.to_dimacs(solver.export_cnf(g), g.vectors))] if args.cnf_out else []
+    if result.satisfiable and args.coloring_out:
+        side.append((args.coloring_out, solver.format_coloring(g.vectors, result.coloring)))
+    _write_side_files(side)  # only after the run succeeded; a failed write prints no verdict
     print(result.verdict)
     if result.satisfiable:
         if not args.coloring_out:
@@ -142,10 +155,10 @@ def cmd_ffproj(args) -> int:
         rank_desc = ", ".join(f"rank {r}: {ranks[r]}" for r in sorted(ranks))
         print(f"{len(algebra)} projections over F_{p} ({rank_desc})")
         result = ffproj.search_ba_coloring(algebra)
-    if args.proj_out:
-        _write(args.proj_out, ffproj.format_projections(p, projs))
-    if result.satisfiable and args.coloring_out:  # a failed write prints no verdict
-        _write(args.coloring_out, solver.format_coloring(projs, result.coloring))
+    side = [(args.proj_out, ffproj.format_projections(p, projs))] if args.proj_out else []
+    if result.satisfiable and args.coloring_out:
+        side.append((args.coloring_out, solver.format_coloring(projs, result.coloring)))
+    _write_side_files(side)  # only after the run succeeded; a failed write prints no verdict
     print(result.verdict)
     return 0 if result.satisfiable else 2
 

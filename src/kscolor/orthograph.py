@@ -16,18 +16,22 @@ primes are taken in order until their product P exceeds 3 max|entry|^2 >=
 the sieve is exact and no pair gets a dot product.  Over F_p the sieve is
 the prime p alone, exact by definition.
 
-Sets of vertices are int bitsets, bit j for vertex j: the sieve's rows, and
-later[i], the neighbours j > i of vertex i.  The triples of an edge (i, j)
-are the set bits k of later[i] & later[j], walked in ascending order, so
-edges and triples both come out sorted.  The same rule serves Z and F_p,
-including unreduced sets mod p, where several vertices share a line or a
-line is isotropic: it only intersects orthogonality tests already made.
+Sets of vertices are int bitsets, bit j for vertex j.  later[i] holds the
+neighbours j > i of vertex i: it starts as every j > i, and each sieve
+prime narrows it once, by the mask of the vertices orthogonal to vertex i's
+line mod that prime, so one prime's tables are alive at a time.  The edges
+are the set bits of later[i], and the triples of an edge (i, j) the set
+bits k of later[i] & later[j]; both are walked inline in ascending order,
+lowest bit first, so edges and triples come out sorted.  The same rule
+serves Z and F_p, including unreduced sets mod p, where several vertices
+share a line or a line is isotropic: it only intersects orthogonality
+tests already made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .vectors import Vec3, VectorSet, is_prime, require_prime
 
@@ -90,19 +94,21 @@ class OrthoGraph:
         )
 
 
-def _sieve(vecs: tuple[Vec3, ...], q: int) -> list[int]:
-    """For each vertex, the bitset of the vertices whose lines are orthogonal
-    to its own mod q.
+def _sieve(vecs: tuple[Vec3, ...], q: int) -> tuple[list[int], dict[int, int]]:
+    """Each vertex's line code mod q, and for each line that occurs the
+    bitset of the vertices whose lines are orthogonal to it mod q.
 
     A line scaled to first nonzero entry 1 has the code bq + c for (1, b, c),
-    q^2 + c for (0, 1, c) and q^2 + q for (0, 0, 1).  Only lines that occur
-    are listed, and each costs its q + 1 perp codes or, when fewer lines
-    occur than that, one test per occurring line.
+    q^2 + c for (0, 1, c) and q^2 + q for (0, 0, 1).  Both tables are dicts
+    keyed by the lines that occur, never q^2 + q + 1 entries, so a large q
+    costs no more than a small one.  Each occurring line costs its q + 1
+    perp codes, stepped through without a list, or, when fewer lines occur
+    than that, one test per occurring line.
     """
     qq = q * q
     inverse: dict[int, int] = {}  # residue -> its inverse mod q
     members: dict[int, int] = {}  # line code -> bitset of the vertices on it
-    slot = []
+    codes = []
     for i, (x, y, z) in enumerate(vecs):
         a, b = x % q, y % q
         if a:
@@ -113,37 +119,34 @@ def _sieve(vecs: tuple[Vec3, ...], q: int) -> list[int]:
             k = qq + z * t % q
         else:
             k = qq + q
-        slot.append(k)
+        codes.append(k)
         members[k] = members.get(k, 0) | 1 << i
     lines = {k: (1, *divmod(k, q)) if k < qq else (0, 1, k - qq) if k < qq + q else (0, 0, 1)
              for k in members}
+    get = members.get
     orth = {}
     for k, (a, b, c) in lines.items():
-        if q + 1 >= len(lines):  # no more lines occur than l^perp holds
-            perp = [m for m, (d, e, f) in lines.items() if (a * d + b * e + c * f) % q == 0]
-        elif c:  # (0, 1, beta) and (1, t, alpha + t beta)
-            inv = pow(-c, -1, q)
-            alpha, beta = a * inv % q, b * inv % q
-            perp = [qq + beta, *(t * q + (alpha + t * beta) % q for t in range(q))]
-        elif b:  # (0, 0, 1) and (1, -a/b, t)
-            start = -a * pow(b, -1, q) % q * q
-            perp = [qq + q, *range(start, start + q)]
-        else:  # (0, 0, 1) and (0, 1, t)
-            perp = range(qq, qq + q + 1)
         mask = 0
-        for bits in map(members.get, perp):
-            if bits:
-                mask |= bits
+        if q + 1 >= len(lines):  # no more lines occur than l^perp holds
+            for m, (d, e, f) in lines.items():
+                if (a * d + b * e + c * f) % q == 0:
+                    mask |= members[m]
+        elif c:  # (0, 1, beta) and (1, t, alpha + t beta), codes tq + r with r += beta
+            inv = pow(-c, -1, q)
+            r, beta = a * inv % q, b * inv % q
+            mask = get(qq + beta, 0)
+            for tq in range(0, qq, q):
+                bits = get(tq + r)
+                if bits:
+                    mask |= bits
+                r = (r + beta) % q
+        else:  # (0, 0, 1) and one row of q lines: (1, -a/b, t), or (0, 1, t) when b = 0
+            start = -a * pow(b, -1, q) % q * q if b else qq
+            for bits in map(get, [qq + q, *range(start, start + q)]):
+                if bits:
+                    mask |= bits
         orth[k] = mask
-    return [orth[k] for k in slot]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of a nonnegative mask, ascending."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
+    return codes, orth
 
 
 def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
@@ -158,14 +161,27 @@ def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
     else:
         require_prime(p)
         primes = [p]
-    later = []  # later[i]: bitset of the j > i orthogonal to vertex i
-    for i, rows in enumerate(zip(*[_sieve(vecs, q) for q in primes])):
-        mask = -2 << i  # the j > i
-        for row in rows:
-            mask &= row
-        later.append(mask)
-    edges = [(i, j) for i, mask in enumerate(later) for j in _bits(mask)]
-    triples = [(i, j, k) for i, j in edges for k in _bits(later[i] & later[j])]
+    later = [-2 << i for i in range(len(vecs))]  # later[i]: the j > i orthogonal to vertex i
+    for q in primes:
+        codes, orth = _sieve(vecs, q)
+        for i, k in enumerate(codes):  # in place: one generation of masks alive
+            later[i] &= orth[k]
+        del codes, orth  # one prime's tables at a time
+    edges, triples = [], []
+    for i, mi in enumerate(later):
+        m = mi
+        while m:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            edges.append((i, j))
+            t = later[j]
+            if t:
+                t &= mi
+                while t:
+                    low = t & -t
+                    t ^= low
+                    triples.append((i, j, low.bit_length() - 1))
     return OrthoGraph(s, tuple(edges), tuple(triples))
 
 

@@ -71,16 +71,18 @@ class _Search:
     def __init__(self, n: int, edges, triples):
         self.assign: list[Optional[int]] = [None] * n
         self.trail: list[int] = []
-        self.neighbors = [[] for _ in range(n)]
+        self.neighbors = neighbors = [[] for _ in range(n)]
         for i, j in edges:
-            self.neighbors[i].append(j)
-            self.neighbors[j].append(i)
-        self.vertex_triples = [[] for _ in range(n)]
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        self.vertex_triples = vertex_triples = [[] for _ in range(n)]
         for t in triples:
-            for v in t:
-                self.vertex_triples[v].append(t)
+            a, b, c = t
+            vertex_triples[a].append(t)
+            vertex_triples[b].append(t)
+            vertex_triples[c].append(t)
         # most triples first: a reversed sort is still stable, so ties keep index order
-        self.order = sorted(range(n), key=[len(t) for t in self.vertex_triples].__getitem__,
+        self.order = sorted(range(n), key=[len(t) for t in vertex_triples].__getitem__,
                             reverse=True)
         self.cursor = 0  # every position of order before it is assigned
         self.nodes = self.propagations = self.max_depth = 0
@@ -91,7 +93,8 @@ class _Search:
         if assign[v] is not None:
             return assign[v] == c
         assign[v] = c
-        self.trail.append(v)
+        trail = self.trail
+        trail.append(v)
         queue = [v]
         while queue:
             u = queue.pop()
@@ -102,31 +105,30 @@ class _Search:
                         return False
                     if cw is None:
                         assign[w] = 0
-                        self.trail.append(w)
+                        trail.append(w)
                         self.propagations += 1
                         queue.append(w)
             else:
-                for t in self.vertex_triples[u]:
-                    zeros = 0
-                    free = -1
-                    for w in t:
-                        cw = assign[w]
-                        if cw == 0:
-                            zeros += 1
-                        elif cw is None:
-                            free = w
-                    if zeros == 3:
+                for a, b, w in self.vertex_triples[u]:
+                    ca, cb, cw = assign[a], assign[b], assign[w]
+                    zeros = (ca == 0) + (cb == 0) + (cw == 0)
+                    if zeros == 2:
+                        # the one vertex not at 0, if it is unassigned
+                        free = w if cw is None else b if cb is None else a if ca is None else -1
+                        if free >= 0:
+                            assign[free] = 1
+                            trail.append(free)
+                            self.propagations += 1
+                            queue.append(free)
+                    elif zeros == 3:
                         return False
-                    if zeros == 2 and free >= 0:
-                        assign[free] = 1
-                        self.trail.append(free)
-                        self.propagations += 1
-                        queue.append(free)
         return True
 
     def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            self.assign[self.trail.pop()] = None
+        assign, trail = self.assign, self.trail
+        for v in trail[mark:]:
+            assign[v] = None
+        del trail[mark:]
 
     def _pick(self) -> Optional[int]:
         """First unassigned vertex in the static decision order.

@@ -270,8 +270,12 @@ def _box_lines(norms: list[int], bound: int) -> Iterator[Vec3]:
                 x = math.isqrt(n - yz)
                 if x * x == n - yz and math.gcd(x, y, z) == 1:
                     for a, b, c in permutations((x, y, z)):
-                        for v in ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c)):
-                            yield v if is_well_signed(v) else (-v[0], -v[1], -v[2])
+                        images = (a, b, c), (-a, b, c), (a, -b, c), (a, b, -c)
+                        if x:  # no zero entry: at most one minus sign is canonical
+                            yield from images
+                        else:
+                            for v in images:
+                                yield v if is_well_signed(v) else (-v[0], -v[1], -v[2])
 
 
 def build_Qn(n: int) -> VectorSet:

@@ -120,6 +120,27 @@ def test_sat_run_reports_an_unwritable_coloring(command, tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
+def test_refused_solve_writes_no_cnf(tmp_path, q_file, capsys):
+    cnf = tmp_path / "side.cnf"
+    assert main(["solve", q_file, "--brute", "--cnf-out", str(cnf)]) == 1
+    assert "brute force" in capsys.readouterr().err
+    assert not cnf.exists()
+
+
+@pytest.mark.parametrize("command, side_flag", [
+    (["solve"], "--cnf-out"),
+    (["ffproj", "--p", "5", "--reduce"], "--proj-out"),
+])
+def test_failed_coloring_write_leaves_no_side_file(command, side_flag, tmp_path, capsys):
+    inp, side = tmp_path / "basis.txt", tmp_path / "side.txt"
+    main(["build", "Q1", "-o", str(inp)])
+    capsys.readouterr()
+    out = tmp_path / "missing" / "c.txt"
+    assert main(command + [str(inp), side_flag, str(side), "--coloring-out", str(out)]) == 1
+    assert "SAT" not in capsys.readouterr().out
+    assert not side.exists()
+
+
 def test_solve_brute_guard(q_file, capsys):
     assert main(["solve", q_file, "--brute"]) == 1
     assert "brute force" in capsys.readouterr().err

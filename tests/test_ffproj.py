@@ -20,7 +20,7 @@ from kscolor.ffproj import (
     search_ba_coloring,
 )
 from kscolor.orthograph import build_graph
-from kscolor.solver import solve_cnf
+from kscolor.solver import SolveStats, solve_cnf
 from kscolor.vectors import build_Q, build_Qn, norm_sq
 
 # ---------------------------------------------------------------------------
@@ -385,6 +385,13 @@ def test_reduce_Q_mod_seven_rejected():
 def test_restricted_search_Q_mod_five_unsat():
     reduced = reduce_set_mod_p(build_Q(), 5)
     assert not restricted_ks_search(reduced.projections, 5).satisfiable
+
+
+# The paper's set mod p: the search's (nodes, propagations, max depth).
+@pytest.mark.parametrize("p, stats", [(5, SolveStats(10, 97, 2)), (13, SolveStats(12, 202, 4))])
+def test_restricted_search_stats_of_Q_mod_p(p, stats):
+    result = restricted_ks_search(reduce_set_mod_p(build_Q(), p).projections, p)
+    assert (result.satisfiable, result.stats) == (False, stats)
 
 
 def test_reduction_mod_a_large_prime_tests_primality_once():

@@ -1,11 +1,17 @@
 import hashlib
+import os
 import random
+import resource
+import subprocess
+import sys
 from functools import partial
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kscolor
 from kscolor.orthograph import GraphStats, _sieve_primes, build_graph, graph_stats, to_dot
 from kscolor.vectors import (
     VectorSet,
@@ -132,6 +138,23 @@ def test_Q_mod_a_large_prime_matches_oracle():
     assert list(g.edges) == sorted(edges)
     assert list(g.triples) == sorted(triples)
     assert graph_stats(g) == GraphStats(85, Q_EDGES, Q_TRIPLES, Q_BARE_EDGES)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_F_p_build_scales_with_the_lines_that_occur_not_with_p():
+    # A table of p^2 + p + 1 lines, or one walk over the p + 1 lines of a
+    # perp, cannot finish for this p.  The build runs in a child under a
+    # deadline and a 1 GiB address space, so such a table fails this test
+    # fast instead of hanging the suite or filling memory.
+    code = ("from kscolor.orthograph import build_graph; from kscolor.vectors import build_Q; "
+            "print(len(build_graph(build_Q(), 1000000000039).edges))")
+    env = {**os.environ, "PYTHONPATH": str(Path(kscolor.__file__).resolve().parent.parent)}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           timeout=10, preexec_fn=_cap_address_space)
+    assert (child.returncode, child.stdout) == (0, f"{Q_EDGES}\n"), child.stderr
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)

@@ -255,6 +255,14 @@ def test_line_family_search_stats(p, stats):
     assert (r.stats.nodes, r.stats.propagations, r.stats.max_depth) == stats
 
 
+# The paper's set: the search's (nodes, propagations, max depth), with and
+# without `wlog`.
+@pytest.mark.parametrize("wlog, stats", [(False, SolveStats(20, 299, 4)), (True, SolveStats(6, 103, 2))])
+def test_Q_search_stats(wlog, stats):
+    result = solve(build_graph(build_Q()), wlog=wlog)
+    assert (result.satisfiable, result.stats) == (False, stats)
+
+
 def _build_and_solve_s(s, p=None):
     """The least of three build_graph times and of three solve times."""
     build_s = solve_s = float("inf")
