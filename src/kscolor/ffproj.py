@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from .orthograph import build_graph
 from .solver import SolveResult, solve
-from .vectors import MILLER_RABIN_BOUND, Vec3, VectorSet, is_prime, norm_sq, require_prime
+from .vectors import Vec3, VectorSet, norm_sq, require_prime
 
 ENUMERATION_GUARD = 101
 
@@ -174,14 +174,19 @@ def parse_projections(text: str) -> tuple[int, tuple[Mat, ...]]:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if p is None:
-            if len(parts) != 2 or parts[0] != "p":
-                raise ValueError(f"line {lineno}: expected header 'p <prime>'")
-            p = int(parts[1])
-            continue
-        if len(parts) != 9:
-            raise ValueError(f"line {lineno}: expected nine integers")
-        mats.append(tuple(int(x) for x in parts))
+        try:
+            if p is None:
+                tag, prime = parts
+                if tag != "p":
+                    raise ValueError(tag)
+                p = int(prime)
+            elif len(parts) == 9:
+                mats.append(tuple(int(x) for x in parts))
+            else:
+                raise ValueError(parts)
+        except ValueError:
+            expected = "header 'p <prime>'" if p is None else "nine integers"
+            raise ValueError(f"line {lineno}: expected {expected}") from None
     if p is None:
         raise ValueError("missing 'p <prime>' header")
     return p, tuple(mats)

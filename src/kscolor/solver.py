@@ -399,10 +399,13 @@ def parse_coloring(text: str, vectors: Sequence[Vec3]) -> tuple[int, ...]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 4 or parts[3] not in ("0", "1"):
-            raise ValueError(f"line {lineno}: expected 'x y z <0|1>'")
-        by_vec[(int(parts[0]), int(parts[1]), int(parts[2]))] = int(parts[3])
+        try:
+            x, y, z, color = line.split()
+            if color not in ("0", "1"):
+                raise ValueError(color)
+            by_vec[(int(x), int(y), int(z))] = int(color)
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'x y z <0|1>'") from None
     try:
         return tuple(by_vec[v] for v in vectors)
     except KeyError as exc:

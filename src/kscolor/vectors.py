@@ -315,6 +315,8 @@ def enumerate_S(n_divisor: int, height: int) -> VectorSet:
     norm.  The admissible norms up to 3H^2 are the products of powers of N's
     primes, so N is factored once and no norm is tested.
     """
+    if n_divisor < 1:
+        raise ValueError(f"N must be a positive squarefree integer, got {n_divisor}")
     primes = _prime_factors(n_divisor)
     if math.prod(primes) != n_divisor:
         raise ValueError(f"N must be squarefree, got {n_divisor} (pass radical(N))")

@@ -1,7 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kscolor import certificate
 from kscolor.certificate import (
     Certificate,
     Contradiction,
@@ -14,7 +17,9 @@ from kscolor.certificate import (
 )
 from kscolor.orthograph import build_graph
 from kscolor.solver import solve
-from kscolor.vectors import VectorSet, build_Q, build_Qn, enumerate_S
+from kscolor.vectors import VectorSet, build_Q, build_Qn, enumerate_S, signed_permutations
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +204,27 @@ def test_contradiction_not_forced(q_graph):
     assert not result.valid
 
 
+BASIS_WLOG = "wlog 1 0 0 -> 1 alt 0 1 0 via 0 1 0 1 0 0 0 0 1 alt 0 0 1 via 0 0 1 0 1 0 1 0 0\n"
+BASIS_ZEROS = ("propagate 1 0 0 , 0 1 0 , 0 0 1 => 0 1 0 -> 0\n"
+               "propagate 1 0 0 , 0 1 0 , 0 0 1 => 0 0 1 -> 0\n")
+
+
+@pytest.mark.parametrize("tail, reason", [
+    (BASIS_ZEROS + "contradiction vertex 0 1 0\n", "vertex (0, 1, 0) is not forced to both colors"),
+    ("contradiction context 1 0 0 , 0 1 0 , 0 0 1\n", "cited context is not fully assigned"),
+    (BASIS_ZEROS + "contradiction context 1 0 0 , 0 1 0 , 0 0 1\n", "cited context is not violated"),
+    (BASIS_ZEROS, "no contradiction reached"),
+])
+def test_contradiction_must_hold(tail, reason):
+    result = verify_certificate(build_graph(build_Qn(1)), parse_certificate(BASIS_WLOG + tail))
+    assert (result.valid, result.reason) == (False, reason)
+
+
+def test_format_refuses_what_is_not_a_step():
+    with pytest.raises(TypeError, match="not a certificate step"):
+        format_certificate(Certificate(((1, 0, 0),)))
+
+
 def test_context_contradiction_form():
     g = build_graph(build_Qn(1))
     cert = parse_certificate(
@@ -208,6 +234,27 @@ def test_context_contradiction_form():
     assert not result.valid and result.failed_step == 0
 
 
+WLOG_FORM = "expected 'wlog X Y Z -> C [alt X' Y' Z' via G11 G12 G13 G21 G22 G23 G31 G32 G33]...'"
+PROPAGATE_FORM = "expected 'propagate X1 Y1 Z1 , X2 Y2 Z2 [ , X3 Y3 Z3 ] => X Y Z -> C'"
+MALFORMED = [
+    ("wlog 1 0 0 1", WLOG_FORM),  # missing '->'
+    ("propagate 1 0 0 , 0 1 0 => 0 1 0 0", PROPAGATE_FORM),
+    ("wlog 1 0 0 -> 1 alt 0 1 0 via 0 1 0 1 0 0 0 0", WLOG_FORM),  # short alt group
+    ("propagate 1 0 0 , 0 1 0 , 0 0 1 , 1 1 0 => 1 0 0 -> 0", "context must have 2 or 3 vectors"),
+    ("contradiction context 1 0 0", "context must have 2 or 3 vectors"),
+    ("wlog 1 0 0 -> 1 extra", WLOG_FORM),  # trailing token
+    ("wlog 1 0 0 -> 1 alt 0 1 0 by 0 1 0 1 0 0 0 0 1", WLOG_FORM),
+    ("wlog 1 0 0 -> 1 also 0 1 0 via 0 1 0 1 0 0 0 0 1", WLOG_FORM),
+    ("propagate 1 0 0 0 0 1 0 => 0 1 0 -> 0", "context must have 2 or 3 vectors"),  # no comma
+    ("propagate 1 0 0 , 0 1 0 => 0 1 0 -> 0 0", PROPAGATE_FORM),
+    ("contradiction vertex 1 0 0 0", "expected 'contradiction vertex X Y Z'"),
+    ("propagate 1 0 x , 0 1 0 => 0 1 0 -> 0", "expected integer, got 'x'"),
+    ("wlog 1 0 0 -> 1 alt 0 1 0 via 0 1 0 1 0 0 0 0 y", "expected integer, got 'y'"),
+    ("contradiction vertex 1 0.5 0", "expected integer, got '0.5'"),
+    ("propagate 1 0 0 , 0 1 0 => 0 1 0 -> +1", "expected color 0 or 1, got '+1'"),
+]
+
+
 def test_parse_errors():
     with pytest.raises(ValueError, match="line 1"):
         parse_certificate("wlog 1 0 -> 1")
@@ -215,6 +262,49 @@ def test_parse_errors():
         parse_certificate("frobnicate 1 0 0")
     with pytest.raises(ValueError, match="vertex' or 'context"):
         parse_certificate("contradiction 1 0 0")
+    for line, message in MALFORMED:
+        with pytest.raises(ValueError) as exc:
+            parse_certificate(line)
+        assert str(exc.value) == f"line 1: {message}"
+
+
+def test_parse_error_forms_are_the_readme_forms():
+    block = README.read_text(encoding="utf-8").split("**Certificate**", 1)[1]
+    for form in certificate._FORMS.values():
+        assert form in block
+
+
+def test_parse_takes_integers_as_int_does():
+    assert parse_certificate("contradiction vertex +1 0 -0\n") == Certificate(
+        (Contradiction(vertex=(1, 0, 0)),))
+
+
+_vectors = st.tuples(*[st.integers(-9, 9)] * 3)
+_contexts = st.lists(_vectors, min_size=2, max_size=3).map(tuple)
+_colors = st.sampled_from([0, 1])
+_steps = st.one_of(
+    st.builds(WlogFix, _vectors, _colors, st.lists(
+        st.tuples(_vectors, st.sampled_from(signed_permutations())), max_size=2).map(tuple)),
+    st.builds(Propagate, _contexts, _vectors, _colors),
+    st.builds(lambda v: Contradiction(vertex=v), _vectors),
+    st.builds(lambda c: Contradiction(context=c), _contexts),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(_steps, max_size=4), data=st.data())
+def test_text_round_trip(steps, data):
+    cert = Certificate(tuple(steps))
+    text = format_certificate(cert)
+    assert parse_certificate(text) == cert
+    # any run of blanks around a line and between tokens; a comma may hug its neighbours
+    blanks, spaced = st.sampled_from([" ", "  ", "\t", " \t"]), []
+    for line in text.splitlines():
+        words = line.split(" ")
+        spaced.append(data.draw(blanks) + "".join(
+            a + data.draw(st.sampled_from(["", " "]) if "," in (a, b) else blanks)
+            for a, b in zip(words, words[1:])) + words[-1] + data.draw(blanks))
+    assert parse_certificate("\n".join(spaced)) == cert
 
 
 def test_parse_ignores_comments_and_blanks(bundled):

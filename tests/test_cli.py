@@ -171,6 +171,8 @@ def test_solve_leaves_dot_export_to_graph(tmp_path, q_file):
     (["certify", "{q}", "{tmp}/nothere.cert"], "error: cannot read certificate: "),
     (["certify", "{q}", "{tmp}/bad.cert"], "error: certificate parse error: line 1: "),
     (["ffproj", "--p", "103"], "error: enumeration refused beyond p = 101"),
+    (["build", "S", "--N", "0"], "error: N must be a positive squarefree integer, got 0"),
+    (["build", "S", "--N", "-6"], "error: N must be a positive squarefree integer, got -6"),
 ])
 def test_user_errors_print_one_error_line(argv, message, tmp_path, q_file, capsys):
     (tmp_path / "nonsym.txt").write_text("1 0 0\n0 1 0\n0 0 1\n1 1 0\n")

@@ -7,12 +7,10 @@ import pytest
 from kscolor import ffproj, orthograph, vectors
 from kscolor.ffproj import (
     IDENTITY,
-    MILLER_RABIN_BOUND,
     ZERO,
     ProjAlgebra,
     enumerate_projections,
     format_projections,
-    is_prime,
     parse_projections,
     project_mod_p,
     reduce_set_mod_p,
@@ -21,7 +19,7 @@ from kscolor.ffproj import (
 )
 from kscolor.orthograph import build_graph
 from kscolor.solver import SolveStats, solve_cnf
-from kscolor.vectors import build_Q, build_Qn, norm_sq
+from kscolor.vectors import MILLER_RABIN_BOUND, build_Q, build_Qn, is_prime, norm_sq
 
 # ---------------------------------------------------------------------------
 # Matrix oracles: 3x3 matrices over F_p, row-major, by plain arithmetic.
@@ -240,7 +238,7 @@ def prime_tests(monkeypatch):
         calls.append(n)
         return real(n)
 
-    for mod in (vectors, orthograph, ffproj):
+    for mod in (vectors, orthograph):
         monkeypatch.setattr(mod, "is_prime", counting)
     return calls
 
@@ -461,3 +459,7 @@ def test_projection_file_round_trip(algebras):
     assert p == 3 and mats == a.projections
     with pytest.raises(ValueError):
         parse_projections("1 2 3\n")
+    with pytest.raises(ValueError, match=r"^line 2: expected header 'p <prime>'$"):
+        parse_projections("# projections\np x\n")
+    with pytest.raises(ValueError, match=r"^line 2: expected nine integers$"):
+        parse_projections("p 3\n1 0 0 0 0 0 0 0 y\n")

@@ -383,3 +383,5 @@ def test_coloring_file_round_trip():
     assert parse_coloring(text, g.vectors) == r.coloring
     with pytest.raises(ValueError):
         parse_coloring(text, g.vectors + ((9, 9, 1),))
+    with pytest.raises(ValueError, match=r"^line 2: expected 'x y z <0\|1>'$"):
+        parse_coloring("1 0 0 1\n1 0 z 1\n", g.vectors)
