@@ -50,6 +50,7 @@ from .vectors import (
 
 @dataclass(frozen=True)
 class WlogFix:
+    """A `wlog` step: fix vertex to color, each alternative discharged by its witness."""
     vertex: Vec3
     color: int
     alternatives: tuple[tuple[Vec3, SignedPermutation], ...]
@@ -57,6 +58,7 @@ class WlogFix:
 
 @dataclass(frozen=True)
 class Propagate:
+    """A `propagate` step: the context forces vertex to color."""
     context: tuple[Vec3, ...]  # 2 or 3 vectors
     vertex: Vec3
     color: int
@@ -64,6 +66,7 @@ class Propagate:
 
 @dataclass(frozen=True)
 class Contradiction:
+    """A `contradiction` step: a vertex forced both ways, or a violated context."""
     vertex: Optional[Vec3] = None
     context: Optional[tuple[Vec3, ...]] = None
 
@@ -73,11 +76,13 @@ Step = Union[WlogFix, Propagate, Contradiction]
 
 @dataclass(frozen=True)
 class Certificate:
+    """An uncolorability certificate: its steps in replay order."""
     steps: tuple[Step, ...]
 
 
 @dataclass(frozen=True)
 class CertResult:
+    """A replay's outcome; when invalid, the failing step and the reason."""
     valid: bool
     failed_step: Optional[int] = None  # 0-based index of the unsound step
     reason: Optional[str] = None

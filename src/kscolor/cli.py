@@ -14,9 +14,6 @@ import sys
 from . import certificate as cert_mod
 from . import ffproj, orthograph, solver, vectors
 
-BUILD_NAMES = ("Q", *(f"Q{n}" for n in vectors.Q_BLOCK_NORMS), "S")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1: exit code 2 is a negative verdict."""
 
@@ -163,56 +160,59 @@ def cmd_ffproj(args) -> int:
     return 0 if result.satisfiable else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: name -> (handler, help line, argument specs); a spec is the
+#: space-separated flags and the keyword arguments of ``add_argument``
+COMMANDS = {
+    "build": (cmd_build, "construct a named vector set", (
+        ("name", dict(choices=("Q", *(f"Q{n}" for n in vectors.Q_BLOCK_NORMS), "S"))),
+        ("--N", dict(type=int, help="squarefree N for the S slice")),
+        ("--height", dict(type=int, help="height bound for S (default 8)")),
+        ("-o --output", dict(help="output vector-set file (default stdout)")))),
+    "graph": (cmd_graph, "export the orthogonality graph as DOT", (
+        ("input", {}), ("--dot-out", dict(help="output DOT file (default stdout)")))),
+    "stats": (cmd_stats, "orthogonality graph statistics", (("input", {}),)),
+    "solve": (cmd_solve, "decide colorability of a vector-set file", (
+        ("input", {}),
+        ("--brute", dict(action="store_true", help="use the exhaustive oracle")),
+        ("--wlog", dict(action="store_true", help="fix one basis triple by symmetry")),
+        ("--cnf-out", dict(help="also write a DIMACS CNF encoding")),
+        ("--coloring-out", dict(help="write the coloring here on SAT")))),
+    "certify": (cmd_certify, "replay an uncolorability certificate", (
+        ("input", dict(help="vector-set file")),
+        ("certificate", dict(nargs="?", help="certificate file")),
+        ("--bundled", dict(action="store_true", help="use the packaged certificate for Q")))),
+    "ffproj": (cmd_ffproj, "finite-field projection algebra suite", (
+        ("--p", dict(type=int, required=True, help="prime field order")),
+        ("--reduce", dict(help="reduce this vector-set file mod p instead")),
+        ("--proj-out", dict(help="write the enumerated projection list here")),
+        ("--coloring-out", dict(help="write the homomorphism here on SAT")))),
+}
+
+
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """One subparser for each name in commands; the usage line names every command."""
     parser = _Parser(
         prog="kscolor",
         description="Construct, solve, and certify Kochen-Specker colorability "
         "of integer 3-vector sets; enumerate finite-field projection algebras.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="construct a named vector set")
-    p_build.add_argument("name", choices=BUILD_NAMES)
-    p_build.add_argument("--N", type=int, help="squarefree N for the S slice")
-    p_build.add_argument("--height", type=int, help="height bound for S (default 8)")
-    p_build.add_argument("-o", "--output", help="output vector-set file (default stdout)")
-    p_build.set_defaults(func=cmd_build)
-
-    p_graph = sub.add_parser("graph", help="export the orthogonality graph as DOT")
-    p_graph.add_argument("input")
-    p_graph.add_argument("--dot-out", help="output DOT file (default stdout)")
-    p_graph.set_defaults(func=cmd_graph)
-
-    p_stats = sub.add_parser("stats", help="orthogonality graph statistics")
-    p_stats.add_argument("input")
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_solve = sub.add_parser("solve", help="decide colorability of a vector-set file")
-    p_solve.add_argument("input")
-    p_solve.add_argument("--brute", action="store_true", help="use the exhaustive oracle")
-    p_solve.add_argument("--wlog", action="store_true", help="fix one basis triple by symmetry")
-    p_solve.add_argument("--cnf-out", help="also write a DIMACS CNF encoding")
-    p_solve.add_argument("--coloring-out", help="write the coloring here on SAT")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_cert = sub.add_parser("certify", help="replay an uncolorability certificate")
-    p_cert.add_argument("input", help="vector-set file")
-    p_cert.add_argument("certificate", nargs="?", help="certificate file")
-    p_cert.add_argument("--bundled", action="store_true", help="use the packaged certificate for Q")
-    p_cert.set_defaults(func=cmd_certify)
-
-    p_ff = sub.add_parser("ffproj", help="finite-field projection algebra suite")
-    p_ff.add_argument("--p", type=int, required=True, help="prime field order")
-    p_ff.add_argument("--reduce", help="reduce this vector-set file mod p instead")
-    p_ff.add_argument("--proj-out", help="write the enumerated projection list here")
-    p_ff.add_argument("--coloring-out", help="write the homomorphism here on SAT")
-    p_ff.set_defaults(func=cmd_ffproj)
-
+    # The metavar keeps a partial build's usage line whole.  A full build goes
+    # without: a metavar would also replace "command" in its argument errors.
+    metavar = None if set(commands) == set(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in commands:
+        func, help_line, specs = COMMANDS[name]
+        command = sub.add_parser(name, help=help_line)
+        for flags, options in specs:
+            command.add_argument(*flags.split(), **options)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command builds its own subparser only; anything else, all of them
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -77,6 +77,7 @@ def _color_lines(lines: Iterable[Vec3], p: int) -> tuple[SolveResult, dict[Vec3,
 
 @dataclass(frozen=True)
 class ProjAlgebra:
+    """The projection algebra of F_p^3: its projections and its rank-1 lines."""
     p: int
     projections: tuple[Mat, ...]  # sorted row-major
     lines: tuple[Vec3, ...]  # the rank-1 elements' lines, first nonzero entry 1, sorted
@@ -121,6 +122,7 @@ def search_ba_coloring(algebra: ProjAlgebra) -> SolveResult:
 
 @dataclass(frozen=True)
 class ReducedSet:
+    """A vector set's rank-1 projections mod p."""
     p: int
     projections: tuple[Mat, ...]  # distinct, sorted
     collided: bool  # two distinct vectors shared an image
@@ -174,8 +176,9 @@ def parse_projections(text: str) -> tuple[int, tuple[Mat, ...]]:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        header = p is None
         try:
-            if p is None:
+            if header:
                 tag, prime = parts
                 if tag != "p":
                     raise ValueError(tag)
@@ -185,8 +188,13 @@ def parse_projections(text: str) -> tuple[int, tuple[Mat, ...]]:
             else:
                 raise ValueError(parts)
         except ValueError:
-            expected = "header 'p <prime>'" if p is None else "nine integers"
+            expected = "header 'p <prime>'" if header else "nine integers"
             raise ValueError(f"line {lineno}: expected {expected}") from None
+        if header:
+            try:
+                require_prime(p)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     if p is None:
         raise ValueError("missing 'p <prime>' header")
     return p, tuple(mats)

@@ -56,6 +56,7 @@ def _sieve_primes(bound: int) -> list[int]:
 
 @dataclass(frozen=True)
 class GraphStats:
+    """Size counts of an orthogonality graph."""
     vertices: int
     edges: int
     triples: int
@@ -64,6 +65,7 @@ class GraphStats:
 
 @dataclass(frozen=True)
 class OrthoGraph:
+    """A vector set with its orthogonal pairs and orthogonal triples, by index."""
     vector_set: VectorSet
     edges: tuple[Edge, ...]       # sorted pairs (i, j), i < j
     triples: tuple[Triple, ...]   # sorted triples (i, j, k), i < j < k

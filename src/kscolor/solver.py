@@ -36,6 +36,7 @@ _BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Search counters: nodes, propagations and maximum depth."""
     nodes: int = 0
     propagations: int = 0
     max_depth: int = 0
@@ -43,6 +44,7 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A verdict, the coloring when SAT, and the search counters."""
     satisfiable: bool
     coloring: Optional[tuple[int, ...]]  # per-vertex colors when SAT
     stats: SolveStats
@@ -245,6 +247,7 @@ def solve_set(s: VectorSet, wlog: bool = False) -> SolveResult:
 
 @dataclass(frozen=True)
 class CnfFormula:
+    """A CNF over variables 1..num_vars, clauses as signed literals."""
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
@@ -394,6 +397,9 @@ def format_coloring(entries: Sequence[Sequence[int]], coloring: Sequence[int]) -
 
 
 def parse_coloring(text: str, vectors: Sequence[Vec3]) -> tuple[int, ...]:
+    """The colors of vectors, in order; the file must color each of them once
+    and nothing else."""
+    members = set(vectors)
     by_vec = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -403,9 +409,14 @@ def parse_coloring(text: str, vectors: Sequence[Vec3]) -> tuple[int, ...]:
             x, y, z, color = line.split()
             if color not in ("0", "1"):
                 raise ValueError(color)
-            by_vec[(int(x), int(y), int(z))] = int(color)
+            v = (int(x), int(y), int(z))
         except ValueError:
             raise ValueError(f"line {lineno}: expected 'x y z <0|1>'") from None
+        if v not in members:
+            raise ValueError(f"line {lineno}: vector {v} is not in the set")
+        if v in by_vec:
+            raise ValueError(f"line {lineno}: vector {v} is colored twice")
+        by_vec[v] = int(color)
     try:
         return tuple(by_vec[v] for v in vectors)
     except KeyError as exc:

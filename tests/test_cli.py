@@ -11,7 +11,8 @@ import pytest
 
 import kscolor
 
-from kscolor.cli import build_parser, main
+from kscolor import cli
+from kscolor.cli import COMMANDS, build_parser, main
 from kscolor.ffproj import parse_projections, reduce_set_mod_p
 from kscolor.vectors import (
     Q_BLOCK_NORMS, build_Q, build_Qn, format_vector_set, load_vector_set,
@@ -343,6 +344,81 @@ def test_usage_errors_exit_one(capsys):
             main(argv)
         assert exc.value.code == 1
         assert "usage:" in capsys.readouterr().err
+
+
+#: argv that end in help or a usage error, whichever subparsers main builds
+PARSE_EXITS = [
+    [], ["--help"], *([name, "--help"] for name in COMMANDS),
+    ["bogus"], ["build", "X"], ["solve"], ["solve", "q.txt", "extra"],
+]
+
+
+#: the top parser's usage at 80 and at 40 columns
+TOP_USAGE = {
+    "80": "usage: kscolor [-h] {build,graph,stats,solve,certify,ffproj} ...\n",
+    "40": "usage: kscolor [-h]\n"
+          "               {build,graph,stats,solve,certify,ffproj}\n"
+          "               ...\n",
+}
+TOP_PARSER_ERRORS = {
+    (): "kscolor: error: the following arguments are required: command\n",
+    ("--help",): "",
+    ("bogus",): "kscolor: error: argument command: invalid choice: 'bogus' (choose from "
+                "'build', 'graph', 'stats', 'solve', 'certify', 'ffproj')\n",
+    ("solve", "q.txt", "extra"): "kscolor: error: unrecognized arguments: extra\n",
+}
+
+
+def _exit(run, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, exc.value.code
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])  # at 40 the usage line wraps
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(["kscolor", *argv]))
+def test_main_answers_as_the_full_parser(argv, columns, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = _exit(build_parser().parse_args, argv, capsys)
+    assert _exit(main, argv, capsys) == expected
+    out, err, code = expected
+    if "--help" in argv:
+        assert code == 0 and err == "" and out.startswith(" ".join(["usage: kscolor", *argv[:-1]]))
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("usage: kscolor")
+    if tuple(argv) in TOP_PARSER_ERRORS:  # the top parser speaks, naming all six commands
+        assert (out + err).startswith(TOP_USAGE[columns])
+        assert err.endswith(TOP_PARSER_ERRORS[tuple(argv)])
+
+
+def _subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+@pytest.mark.parametrize("argv, built", [
+    *(([name, "--help"], [name]) for name in COMMANDS),
+    (["stats", "{q}"], ["stats"]),
+    (["solve", "q.txt", "extra"], ["solve"]),
+    ([], list(COMMANDS)),
+    (["--help"], list(COMMANDS)),
+    (["bogus"], list(COMMANDS)),
+])
+def test_main_builds_only_the_named_command(argv, built, q_file, monkeypatch, capsys):
+    parsers = []
+
+    def recording(commands):
+        parsers.append(build_parser(commands))
+        return parsers[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    try:
+        main([a.format(q=q_file) for a in argv])
+    except SystemExit:
+        pass
+    assert [_subcommands(parser) for parser in parsers] == [built]
 
 
 def test_ffproj_reduce_divisible_norm(q_file, capsys):

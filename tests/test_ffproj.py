@@ -463,3 +463,22 @@ def test_projection_file_round_trip(algebras):
         parse_projections("# projections\np x\n")
     with pytest.raises(ValueError, match=r"^line 2: expected nine integers$"):
         parse_projections("p 3\n1 0 0 0 0 0 0 0 y\n")
+
+
+@pytest.mark.parametrize("header, message", [
+    ("p 4", "4 is not prime"),
+    ("p 1", "1 is not prime"),
+    ("p -5", "-5 is not prime"),
+    ("p 10000000000000000000000013", "cannot decide whether 10000000000000000000000013 is prime"),
+])
+def test_projection_file_refuses_a_modulus_that_is_not_prime(header, message):
+    with pytest.raises(ValueError, match=rf"^line 2: {message}"):
+        parse_projections(f"# projections\n{header}\n1 0 0 0 0 0 0 0 0\n")
+
+
+def test_projection_file_tests_its_prime_once(prime_tests):
+    text = format_projections(5, enumerate_projections(5).projections)
+    prime_tests.clear()
+    p, mats = parse_projections(text)
+    assert p == 5 and len(mats) == 52
+    assert prime_tests == [5]

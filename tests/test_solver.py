@@ -385,3 +385,14 @@ def test_coloring_file_round_trip():
         parse_coloring(text, g.vectors + ((9, 9, 1),))
     with pytest.raises(ValueError, match=r"^line 2: expected 'x y z <0\|1>'$"):
         parse_coloring("1 0 0 1\n1 0 z 1\n", g.vectors)
+
+
+def test_coloring_file_refuses_a_second_color_and_a_foreign_vector():
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(ValueError, match=r"^line 2: vector \(1, 0, 0\) is colored twice$"):
+        parse_coloring("1 0 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 1\n", basis)
+    with pytest.raises(ValueError, match=r"^line 3: vector \(0, 1, 0\) is colored twice$"):
+        parse_coloring("0 1 0 0\n# same color again\n0 1 0 0\n1 0 0 1\n0 0 1 0\n", basis)
+    with pytest.raises(ValueError, match=r"^line 4: vector \(9, 9, 1\) is not in the set$"):
+        parse_coloring("1 0 0 1\n0 1 0 0\n0 0 1 0\n9 9 1 0\n", basis)
+    assert parse_coloring("0 0 1 0\n1 0 0 1\n0 1 0 0\n", basis) == (1, 0, 0)
