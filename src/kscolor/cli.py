@@ -1,25 +1,23 @@
 """Command-line frontend.
 
-Exit codes: 0 success (SAT / Valid where relevant), 1 usage, domain or
-input error, 2 negative verdict where a positive one was requested (UNSAT
-from `solve` and `ffproj`, Invalid from `certify`).
+A command line takes one of two routes.  A plain line (a command, exact
+flags each given once, values as their own words, the positionals in one
+run) is read straight from ``COMMANDS``.  Every other line, help and usage
+errors included, goes through argparse, which is imported only then.
+
+Exit codes: 0 success (SAT / Valid where relevant), 1 usage, domain, input
+or write error, 2 negative verdict where a positive one was requested
+(UNSAT from `solve` and `ffproj`, Invalid from `certify`).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+import types
 
 from . import certificate as cert_mod
 from . import ffproj, orthograph, solver, vectors
-
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1: exit code 2 is a negative verdict."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _write(path, text: str) -> None:
@@ -189,19 +187,24 @@ COMMANDS = {
 }
 
 
-def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
-    """One subparser for each name in commands; the usage line names every command."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: one subparser for each command in ``COMMANDS``."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors exit 1: exit code 2 is a negative verdict."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="kscolor",
         description="Construct, solve, and certify Kochen-Specker colorability "
         "of integer 3-vector sets; enumerate finite-field projection algebras.",
     )
-    # The metavar keeps a partial build's usage line whole.  A full build goes
-    # without: a metavar would also replace "command" in its argument errors.
-    metavar = None if set(commands) == set(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in commands:
-        func, help_line, specs = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_line, specs) in COMMANDS.items():
         command = sub.add_parser(name, help=help_line)
         for flags, options in specs:
             command.add_argument(*flags.split(), **options)
@@ -209,11 +212,70 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_plain(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives a plain line,
+    read from ``COMMANDS`` alone; None for any other line.
+
+    A plain line is a command, then exact flag names each given at most once,
+    each value its own word not starting with "-", and the positionals in one
+    run, with every required argument given and every ``type`` and ``choices``
+    check passing.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _help, specs = COMMANDS[argv[0]]
+    args = {"command": argv[0], "func": func}
+    flags, positionals = {}, []
+    for names, options in specs:
+        names = names.split()
+        if names[0].startswith("-"):  # the last flag is the long one, which names the attribute
+            dest = names[-1].lstrip("-").replace("-", "_")
+            args[dest] = False if options.get("action") == "store_true" else None
+            flags.update(dict.fromkeys(names, (dest, options)))
+        else:
+            args[names[0]] = None
+            positionals.append((names[0], options))
+    seen, given, run, run_over = set(), [], [], False
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if run_over:  # argparse takes a second run as unrecognized arguments
+                return None
+            run.append(word)
+        elif word in flags and flags[word][0] not in seen:
+            dest, options = flags[word]
+            seen.add(dest)
+            run_over = bool(run)
+            if options.get("action") == "store_true":
+                args[dest] = True
+            else:
+                value = next(words, "-")
+                if value.startswith("-"):  # missing, or a word argparse reads as a flag
+                    return None
+                given.append((dest, options, value))
+        else:
+            return None
+    needed = sum(options.get("nargs") != "?" for _dest, options in positionals)
+    if not needed <= len(run) <= len(positionals) or any(
+            options.get("required") and dest not in seen for dest, options in flags.values()):
+        return None
+    given += [(dest, options, word) for (dest, options), word in zip(positionals, run)]
+    for dest, options, word in given:
+        try:
+            value = options.get("type", str)(word)
+        except ValueError:
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        args[dest] = value
+    return types.SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a named command builds its own subparser only; anything else, all of them
-    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
-    args = parser.parse_args(argv)
+    args = _read_plain(argv)
+    if args is None:  # help, a usage error, or a form only argparse reads
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,5 +1,9 @@
 import argparse
+import ast
+import contextlib
 import hashlib
+import io
+import json
 import os
 import shlex
 import subprocess
@@ -8,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import kscolor
 
@@ -18,7 +23,9 @@ from kscolor.vectors import (
     Q_BLOCK_NORMS, build_Q, build_Qn, format_vector_set, load_vector_set,
 )
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PAPER = ROOT / "perfbench" / "paper.py"
 
 
 @pytest.fixture()
@@ -225,7 +232,8 @@ def test_readme_cli_block_parses():
     for command in commands:
         words = shlex.split(command)
         assert words[0] == "kscolor"
-        parser.parse_args(words[1:])
+        plain = cli._read_plain(words[1:])  # each README line takes the plain route
+        assert plain is not None and vars(plain) == vars(parser.parse_args(words[1:])), command
 
 
 def test_solve_malformed_file(tmp_path, capsys):
@@ -398,27 +406,91 @@ def _subcommands(parser):
     return list(action.choices)
 
 
-@pytest.mark.parametrize("argv, built", [
-    *(([name, "--help"], [name]) for name in COMMANDS),
-    (["stats", "{q}"], ["stats"]),
-    (["solve", "q.txt", "extra"], ["solve"]),
-    ([], list(COMMANDS)),
-    (["--help"], list(COMMANDS)),
-    (["bogus"], list(COMMANDS)),
-])
-def test_main_builds_only_the_named_command(argv, built, q_file, monkeypatch, capsys):
+def _paper_commands():
+    # the benchmark's `paper` command lines, read without importing the benchmark
+    tree = ast.parse(PAPER.read_text(encoding="utf-8"))
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["COMMANDS"])
+    return [argv for _name, argv, _rc in table]
+
+
+#: command lines the plain reader answers without argparse, each once
+PLAIN_LINES = _paper_commands() + [shlex.split(line)[1:] for line in _readme_commands()]
+PLAIN_LINES = [argv for i, argv in enumerate(PLAIN_LINES) if argv not in PLAIN_LINES[:i]]
+
+
+@pytest.mark.parametrize("argv", [*PLAIN_LINES, *PARSE_EXITS],
+                         ids=lambda argv: " ".join(["kscolor", *argv]))
+def test_main_builds_the_parser_only_for_argparse_forms(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.txt").write_text(format_vector_set(build_Q()))
     parsers = []
 
-    def recording(commands):
-        parsers.append(build_parser(commands))
+    def recording():
+        parsers.append(build_parser())
         return parsers[-1]
 
     monkeypatch.setattr(cli, "build_parser", recording)
     try:
-        main([a.format(q=q_file) for a in argv])
+        main(argv)
     except SystemExit:
         pass
-    assert [_subcommands(parser) for parser in parsers] == [built]
+    assert [_subcommands(parser) for parser in parsers] == \
+        ([list(COMMANDS)] if argv in PARSE_EXITS else [])
+
+
+def _argparse_reads(argv):
+    """vars of the full parser's namespace, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+#: words no command takes as they stand: argparse's other forms (a negative
+#: number, --flag=value, a unique prefix, --, help), an empty word, a bad choice
+ODD_WORDS = ["-6", "--N=4", "--wl", "--", "-h", "--help", "", "X", "--p"]
+
+
+@st.composite
+def _command_lines(draw, name):
+    # each argument of the command once (a flag with a value, a bare flag or a
+    # positional word), in any order, some left out; then up to two more
+    # anywhere, even between a flag and its value: a repeat or an odd word
+    units = []
+    for spec, options in COMMANDS[name][2]:
+        word = draw(st.sampled_from(options.get("choices") or ["5", "462", "q.txt"]))
+        flag = draw(st.sampled_from(spec.split()))
+        units.append([word] if flag[0] != "-" else [flag] if options.get("action") else [flag, word])
+    units = draw(st.permutations(units))[:draw(st.integers(0, len(units)))]
+    words = [word for unit in units for word in unit]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = draw(st.sampled_from([*units, *([word] for word in ODD_WORDS)]))
+    return [name, *words]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(*map(_command_lines, COMMANDS), st.lists(st.sampled_from(ODD_WORDS), max_size=2)))
+@example(["solve", "--cnf-out", "--wl", "q.txt"])  # a value may not look like a flag
+@example(["solve", "q.txt", "--cnf-out"])  # nor be missing
+def test_plain_reader_agrees_with_argparse(argv):
+    # the plain reader either declines or gives argparse's namespace exactly
+    plain = cli._read_plain(argv)
+    assert plain is None or vars(plain) == _argparse_reads(argv)
+
+
+def test_second_run_of_positionals_is_left_to_argparse(q_file, capsys):
+    # argparse matches the optional certificate empty before --bundled and so
+    # finds c.cert unrecognized; a reader that joined the two runs would accept it
+    argv = ["certify", q_file, "--bundled", "c.cert"]
+    assert cli._read_plain(argv) is None
+    expected = _exit(build_parser().parse_args, argv, capsys)
+    assert _exit(main, argv, capsys) == expected
+    _out, err, code = expected
+    assert code == 1 and err.endswith("kscolor: error: unrecognized arguments: c.cert\n")
 
 
 def test_ffproj_reduce_divisible_norm(q_file, capsys):
@@ -477,3 +549,26 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_plain_lines_leave_argparse_unimported(tmp_path):
+    # argparse, and the gettext and locale it pulls in, load only for help or a usage error
+    src = str(Path(kscolor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import json, shlex, sys, kscolor.cli\n"
+        "modules = lambda: sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
+        "after_import = modules()\n"
+        "for line in sys.argv[1:]:\n"
+        "    kscolor.cli.main(shlex.split(line)[1:])\n"
+        "after_lines = modules()\n"
+        "try:\n"
+        "    kscolor.cli.main(['solve', '--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(json.dumps([after_import, after_lines, 'argparse' in sys.modules]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, *_readme_commands()], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, check=True)
+    assert (tmp_path / "q.txt").exists()  # the README's first line ran
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], [], True]
