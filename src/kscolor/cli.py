@@ -1,8 +1,8 @@
 """Command-line frontend.
 
-A command line takes one of two routes.  A plain line (a command, exact
-flags each given once, values as their own words, the positionals in one
-run) is read straight from ``COMMANDS``.  Every other line, help and usage
+A command line takes one of two routes.  A plain line (a command, its
+positionals first, then exact flags each given once, values as their own
+words) is read straight from ``COMMANDS``.  Every other line, help and usage
 errors included, goes through argparse, which is imported only then.
 
 Exit codes: 0 success (SAT / Valid where relevant), 1 usage, domain, input
@@ -204,11 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
         "of integer 3-vector sets; enumerate finite-field projection algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_line, specs) in COMMANDS.items():
+    for name, (_handler, help_line, specs) in COMMANDS.items():
         command = sub.add_parser(name, help=help_line)
         for flags, options in specs:
             command.add_argument(*flags.split(), **options)
-        command.set_defaults(func=func)
     return parser
 
 
@@ -216,17 +215,16 @@ def _read_plain(argv):
     """The namespace ``build_parser().parse_args(argv)`` gives a plain line,
     read from ``COMMANDS`` alone; None for any other line.
 
-    A plain line is a command, then exact flag names each given at most once,
-    each value its own word not starting with "-", and the positionals in one
-    run, with every required argument given and every ``type`` and ``choices``
-    check passing.
+    A plain line is a command, then its positionals, then exact flag names
+    each given at most once, each value its own word not starting with "-",
+    with every required argument given and every ``type`` and ``choices``
+    check passing.  A bare word after the first flag is left to argparse.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    func, _help, specs = COMMANDS[argv[0]]
-    args = {"command": argv[0], "func": func}
+    args = {"command": argv[0]}
     flags, positionals = {}, []
-    for names, options in specs:
+    for names, options in COMMANDS[argv[0]][2]:
         names = names.split()
         if names[0].startswith("-"):  # the last flag is the long one, which names the attribute
             dest = names[-1].lstrip("-").replace("-", "_")
@@ -235,17 +233,16 @@ def _read_plain(argv):
         else:
             args[names[0]] = None
             positionals.append((names[0], options))
-    seen, given, run, run_over = set(), [], [], False
+    seen, given, run = set(), [], []
     words = iter(argv[1:])
     for word in words:
         if not word.startswith("-"):
-            if run_over:  # argparse takes a second run as unrecognized arguments
+            if seen:  # a positional after a flag
                 return None
             run.append(word)
         elif word in flags and flags[word][0] not in seen:
             dest, options = flags[word]
             seen.add(dest)
-            run_over = bool(run)
             if options.get("action") == "store_true":
                 args[dest] = True
             else:
@@ -277,7 +274,7 @@ def main(argv=None) -> int:
     if args is None:  # help, a usage error, or a form only argparse reads
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -135,16 +135,14 @@ def reduce_set_mod_p(s: VectorSet, p: int) -> ReducedSet:
     return ReducedSet(p=p, projections=distinct, collided=len(distinct) < len(images))
 
 
-def restricted_ks_search(projs: Sequence[Mat], p: Optional[int] = None) -> SolveResult:
+def restricted_ks_search(projs: Sequence[Mat], p: int) -> SolveResult:
     """Colorability of a rank-1 projection family over one prime.
 
     Each projection is mapped to its line; orthogonal lines (ef = 0) allow
     at most one 1, and orthogonal triples (e + f + g = I) demand exactly
     one.  A coloring is given per input projection.
     """
-    projs = list(projs)
-    if projs:
-        require_prime(p)
+    require_prime(p)
     lines = []
     for m in projs:
         v = _line_of(m, p)

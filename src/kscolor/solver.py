@@ -176,7 +176,8 @@ class _Search:
 
 
 def _wlog_fixed(g: OrthoGraph) -> list[tuple[int, int]]:
-    """Fix the standard-basis triple: (1,0,0) -> 1, the other axes -> 0.
+    """Fix the one vertex (1,0,0) -> 1, the certificate's `wlog` step;
+    propagation then sets the other two axes to 0.
 
     Sound for UNSAT because the set must be invariant under all 48 signed
     permutations, whose coordinate 3-cycles act transitively on the basis
@@ -188,17 +189,17 @@ def _wlog_fixed(g: OrthoGraph) -> list[tuple[int, int]]:
         raise ValueError("symmetry shortcut needs the standard basis vectors present")
     if not g.vector_set.is_symmetry_invariant():
         raise ValueError("symmetry shortcut needs a signed-permutation-invariant set")
-    idx = {v: i for i, v in enumerate(vecs)}
-    return [(idx[_BASIS[0]], 1), (idx[_BASIS[1]], 0), (idx[_BASIS[2]], 0)]
+    return [(vecs.index(_BASIS[0]), 1)]
 
 
 def solve(g: OrthoGraph, wlog: bool = False) -> SolveResult:
     """Decide colorability; SAT results carry a verified coloring.
 
-    With wlog=True the first basis triple coloring is fixed up front, which
-    is only admitted for signed-permutation-invariant sets containing the
-    standard basis.  SAT verdicts found under the restriction are genuine;
-    UNSAT verdicts transfer to the unrestricted problem by symmetry.
+    With wlog=True the one vertex (1,0,0) is fixed to 1 up front, and
+    propagation sets (0,1,0) and (0,0,1) to 0; this is only admitted for
+    signed-permutation-invariant sets containing the standard basis.  SAT
+    verdicts found under the restriction are genuine; UNSAT verdicts
+    transfer to the unrestricted problem by symmetry.
     """
     fixed = _wlog_fixed(g) if wlog else []
     search = _Search(len(g), g.edges, g.triples)

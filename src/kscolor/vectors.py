@@ -151,14 +151,9 @@ def apply_matrix(g: SignedPermutation, v: Vec3) -> Vec3:
 
 
 def is_signed_permutation(g: SignedPermutation) -> bool:
-    """Exactly one entry of magnitude 1 per row and per column, rest zero."""
-    cols = [0, 0, 0]
-    for row in g:
-        nz = [(j, e) for j, e in enumerate(row) if e != 0]
-        if len(nz) != 1 or abs(nz[0][1]) != 1:
-            return False
-        cols[nz[0][0]] += 1
-    return cols == [1, 1, 1]
+    """Exactly one entry of magnitude 1 per row and per column, rest zero:
+    the rows' absolute values are the three unit rows, in some order."""
+    return sorted(tuple(map(abs, row)) for row in g) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def signed_permutations() -> list[SignedPermutation]:
@@ -278,29 +273,30 @@ def _box_lines(norms: list[int], bound: int) -> Iterator[Vec3]:
                                 yield v if is_well_signed(v) else (-v[0], -v[1], -v[2])
 
 
-def build_Qn(n: int) -> VectorSet:
-    """One of the seven named blocks Q_1 ... Q_77.
+def _q_lines(norms: list[int]) -> Iterator[Vec3]:
+    """The lines of Q's blocks of the ascending `norms`, from one scan of
+    the box [-8, 8]^3 that holds Q.  Blocks 1, 2, 3, 6, 21 are all lines of
+    their squarefree norm; blocks 33 and 77 keep only the lines with the
+    absolute entries of `_MULTISET_BLOCKS`: (1,4,4) and (4,5,6) have those
+    norms but are not in Q."""
+    for v in _box_lines(norms, 8):
+        block = _MULTISET_BLOCKS.get(norm_sq(v))
+        if block is None or tuple(sorted(map(abs, v))) == block:
+            yield v
 
-    Blocks 1, 2, 3, 6, 21 are all lines of that norm; the norm is
-    squarefree, so each of its vectors is primitive.  Blocks 33 and 77 are
-    cut down to the signed permutations of the absolute-entry multisets
-    {2,2,5} and {2,3,8}; vectors like (1,4,4) or (4,5,6) with the right
-    norm are deliberately absent.
-    """
+
+def build_Qn(n: int) -> VectorSet:
+    """One of the seven named blocks Q_1 ... Q_77, from the enumeration
+    `_q_lines` that builds Q as well."""
     if n not in Q_BLOCK_NORMS:
         raise ValueError(f"no construction block for norm {n}")
-    if n in _MULTISET_BLOCKS:
-        vecs = [apply_matrix(g, _MULTISET_BLOCKS[n]) for g in signed_permutations()]
-    else:
-        vecs = _box_lines([n], math.isqrt(n))
-    return VectorSet.from_iterable(vecs, name=f"Q_{n}")
+    return VectorSet.from_iterable(_q_lines([n]), name=f"Q_{n}")
 
 
 def build_Q() -> VectorSet:
     """The 85-vector uncolorable set: disjoint union of the seven blocks."""
-    blocks = [build_Qn(n) for n in Q_BLOCK_NORMS]
     return VectorSet.from_iterable(
-        (v for b in blocks for v in b), name="Q", n_divisor=462, height=8)
+        _q_lines(list(Q_BLOCK_NORMS)), name="Q", n_divisor=462, height=8)
 
 
 def enumerate_S(n_divisor: int, height: int) -> VectorSet:

@@ -493,6 +493,23 @@ def test_second_run_of_positionals_is_left_to_argparse(q_file, capsys):
     assert code == 1 and err.endswith("kscolor: error: unrecognized arguments: c.cert\n")
 
 
+def test_flag_before_positional_is_left_to_argparse(q_file, capsys):
+    # a plain line puts its positionals first; argparse still reads this one
+    argv = ["solve", "--wlog", q_file]
+    assert cli._read_plain(argv) is None
+    assert main(argv) == 2
+    assert capsys.readouterr().out.startswith("UNSAT\n")
+
+
+def test_readme_library_block_imports():
+    # the README's import block names only what the package top level exports
+    block = README.read_text(encoding="utf-8").split("## Library entry points", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert "restricted_ks_search" in namespace
+
+
 def test_ffproj_reduce_divisible_norm(q_file, capsys):
     assert main(["ffproj", "--p", "7", "--reduce", q_file]) == 1
     assert "divides the norm" in capsys.readouterr().err

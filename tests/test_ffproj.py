@@ -412,7 +412,13 @@ def test_restricted_search_basis_mod_eleven_sat():
 
 
 def test_restricted_search_empty():
-    assert restricted_ks_search([], None).satisfiable
+    assert restricted_ks_search([], 5).satisfiable
+
+
+@pytest.mark.parametrize("p", [None, 4])
+def test_restricted_search_checks_the_prime_of_an_empty_family(p):
+    with pytest.raises(ValueError):
+        restricted_ks_search([], p)
 
 
 def test_restricted_search_colors_each_input():

@@ -263,6 +263,25 @@ def test_Q_search_stats(wlog, stats):
     assert (result.satisfiable, result.stats) == (False, stats)
 
 
+# (N, H) -> (nodes, propagations, max depth) and sha256 of the
+# format_coloring text of `solve(..., wlog=True)` on SAT slices, taken when
+# `wlog` still fixed all three basis vectors.
+WLOG_SLICE_SOLVES = {
+    (35, 30): ((242, 240, 242), "2f0e92f830b1db0941c62f88321148c5b9ccec1023de87aff3b7292a20c7e13d"),
+    (455, 10): ((119, 111, 119), "766c5d7b48165eb76d736e8ad9ade5254979c1f32736084672372c23de07da8b"),
+}
+
+
+@pytest.mark.parametrize("n_divisor,height", sorted(WLOG_SLICE_SOLVES))
+def test_wlog_slice_solve_pinned(n_divisor, height):
+    g = build_graph(enumerate_S(n_divisor, height))
+    r = solve(g, wlog=True)
+    assert r.satisfiable
+    st = r.stats
+    sha = hashlib.sha256(format_coloring(g.vectors, r.coloring).encode()).hexdigest()
+    assert ((st.nodes, st.propagations, st.max_depth), sha) == WLOG_SLICE_SOLVES[n_divisor, height]
+
+
 def _build_and_solve_s(s, p=None):
     """The least of three build_graph times and of three solve times."""
     build_s = solve_s = float("inf")

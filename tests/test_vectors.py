@@ -21,6 +21,7 @@ from kscolor.vectors import (
     format_vector_set,
     is_orthogonal,
     is_primitive,
+    is_signed_permutation,
     is_well_signed,
     norm_sq,
     parse_vector_set,
@@ -238,6 +239,14 @@ def test_build_Q():
     assert {n: len(vs) for n, vs in by_norm.items()} == EXPECTED_SIZES
 
 
+def test_Q_pinned():
+    # sha256 of format_vector_set(build_Q()), taken when Q was still merged
+    # from seven block sets, 33 and 77 built by signed permutations
+    text = format_vector_set(build_Q())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "0f549fd6f2e78d4c52b9e22fe46d76ab43710617fd05a996a768dd81bbef3196"
+
+
 def test_Q_invariant_under_signed_permutations():
     q = set(build_Q())
     for g in signed_permutations():
@@ -282,6 +291,20 @@ def test_symmetry_invariance_detects_each_generator():
             image = {canonicalize(apply_matrix(g, v)) for v in s}
             assert (image == set(s)) == (n != moved_by)
     assert build_Qn(1).is_symmetry_invariant()
+
+
+def test_is_signed_permutation():
+    assert all(is_signed_permutation(g) for g in signed_permutations())
+    rows = list(product((-1, 0, 1), repeat=3))
+    assert sum(is_signed_permutation(g) for g in product(rows, repeat=3)) == 48
+    for g in (((0, 0, 0, 1), (1, 0, 0), (0, 1, 0)),  # a row of four
+              ((1, 0, 0), (1, 0, 0), (0, 0, 1)),  # a repeated column
+              ((2, 0, 0), (0, 1, 0), (0, 0, 1)),  # an entry 2
+              ((0, 0, 0), (0, 1, 0), (0, 0, 1)),  # a zero row
+              ((1, 0, 0), (0, 1, 0))):  # two rows
+        assert not is_signed_permutation(g)
+        with pytest.raises(ValueError):
+            apply_symmetry(g, (1, 0, 0))
 
 
 def test_apply_symmetry():
