@@ -2,7 +2,6 @@
 
 from .vectors import (
     VectorSet,
-    apply_symmetry,
     build_Q,
     build_Qn,
     canonicalize,

@@ -13,6 +13,7 @@ or write error, 2 negative verdict where a positive one was requested
 from __future__ import annotations
 
 import os
+import stat
 import sys
 import types
 
@@ -20,31 +21,43 @@ from . import certificate as cert_mod
 from . import ffproj, orthograph, solver, vectors
 
 
-def _write(path, text: str) -> None:
-    """Write text to the file at path, or to stdout when no path is given."""
-    if not path:
-        sys.stdout.write(text)
-        return
+def _file_key(path):
+    """What identifies the file at path: device and inode for a regular file,
+    the resolved path for one that does not exist yet, None otherwise."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}")
+        st = os.stat(path)
+    except FileNotFoundError:
+        return os.path.realpath(path)
+    except OSError:  # the write will fail and say why
+        return None
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
 
-def _write_side_files(files) -> None:
-    """Write each (path, text) in turn.  If a write fails, the regular files
-    already written are removed, so a failed run leaves no side file."""
+def _write(files, inputs=()) -> None:
+    """Write each (path, text) pair: to stdout for a None path, else to the
+    file.  A path naming an input or another path of the call is refused
+    first; an existing file that is not regular, such as /dev/stdout, is
+    exempt.  If a write fails, the regular files already written are removed."""
+    taken = {_file_key(p): "an input" for p in inputs if p}
+    for path, _text in files:
+        key = path and _file_key(path)
+        if key and key in taken:
+            raise ValueError(f"cannot write {path}: it is {taken[key]} of this command")
+        taken[key] = "another output"
     written = []
     try:
         for path, text in files:
-            _write(path, text)
+            if path is None:
+                sys.stdout.write(text)
+                continue
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
             written.append(path)
-    except ValueError:
-        for path in written:
-            if os.path.isfile(path):
-                os.remove(path)
-        raise
+    except OSError as exc:
+        for done in written:
+            if os.path.isfile(done):
+                os.remove(done)
+        raise ValueError(f"cannot write {path}: {exc}")
 
 
 def _build_set(args) -> vectors.VectorSet:
@@ -69,14 +82,14 @@ def _load_set(path) -> vectors.VectorSet:
 
 def cmd_build(args) -> int:
     s = _build_set(args)
-    _write(args.output, vectors.format_vector_set(s))
+    _write([(args.output, vectors.format_vector_set(s))])
     print(f"{s.name or 'set'}: {len(s)} vectors", file=sys.stderr)
     return 0
 
 
 def cmd_graph(args) -> int:
     s = _load_set(args.input)
-    _write(args.dot_out, orthograph.to_dot(orthograph.build_graph(s)))
+    _write([(args.dot_out, orthograph.to_dot(orthograph.build_graph(s)))], [args.input])
     return 0
 
 
@@ -99,7 +112,7 @@ def cmd_solve(args) -> int:
     side = [(args.cnf_out, solver.to_dimacs(solver.export_cnf(g), g.vectors))] if args.cnf_out else []
     if result.satisfiable and args.coloring_out:
         side.append((args.coloring_out, solver.format_coloring(g.vectors, result.coloring)))
-    _write_side_files(side)  # only after the run succeeded; a failed write prints no verdict
+    _write(side, [args.input])  # only after the run succeeded; a failed write prints no verdict
     print(result.verdict)
     if result.satisfiable:
         if not args.coloring_out:
@@ -153,7 +166,7 @@ def cmd_ffproj(args) -> int:
     side = [(args.proj_out, ffproj.format_projections(p, projs))] if args.proj_out else []
     if result.satisfiable and args.coloring_out:
         side.append((args.coloring_out, solver.format_coloring(projs, result.coloring)))
-    _write_side_files(side)  # only after the run succeeded; a failed write prints no verdict
+    _write(side, [args.reduce])  # only after the run succeeded; a failed write prints no verdict
     print(result.verdict)
     return 0 if result.satisfiable else 2
 

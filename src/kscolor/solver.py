@@ -90,10 +90,9 @@ class _Search:
         self.nodes = self.propagations = self.max_depth = 0
 
     def _set(self, v: int, c: int) -> bool:
-        """Assign and propagate to fixpoint; False on conflict (no undo)."""
+        """Assign the unassigned v and propagate to fixpoint; False on conflict
+        (no undo).  v is the one start vertex or a decision from `_pick`."""
         assign = self.assign
-        if assign[v] is not None:
-            return assign[v] == c
         assign[v] = c
         trail = self.trail
         trail.append(v)
@@ -151,10 +150,10 @@ class _Search:
         stats = SolveStats(self.nodes, self.propagations, self.max_depth)
         return SolveResult(coloring is not None, coloring, stats)
 
-    def run(self, fixed: Sequence[tuple[int, int]] = ()) -> SolveResult:
-        for v, c in fixed:
-            if not self._set(v, c):
-                return self._result(None)
+    def run(self, first: Optional[int] = None) -> SolveResult:
+        """Search, setting the one start vertex `first` (if any) to 1 first."""
+        if first is not None and not self._set(first, 1):
+            return self._result(None)
         path: list[tuple[int, int, int, int]] = []  # (vertex, value, trail mark, cursor) per decision
         v, value = self._pick(), 1
         while v is not None:
@@ -175,9 +174,9 @@ class _Search:
         return self._result(tuple(self.assign))  # type: ignore[arg-type]
 
 
-def _wlog_fixed(g: OrthoGraph) -> list[tuple[int, int]]:
-    """Fix the one vertex (1,0,0) -> 1, the certificate's `wlog` step;
-    propagation then sets the other two axes to 0.
+def _wlog_vertex(g: OrthoGraph) -> int:
+    """The index of (1,0,0), the one start vertex set to 1 by the
+    certificate's `wlog` step; propagation then sets the other two axes to 0.
 
     Sound for UNSAT because the set must be invariant under all 48 signed
     permutations, whose coordinate 3-cycles act transitively on the basis
@@ -189,21 +188,20 @@ def _wlog_fixed(g: OrthoGraph) -> list[tuple[int, int]]:
         raise ValueError("symmetry shortcut needs the standard basis vectors present")
     if not g.vector_set.is_symmetry_invariant():
         raise ValueError("symmetry shortcut needs a signed-permutation-invariant set")
-    return [(vecs.index(_BASIS[0]), 1)]
+    return vecs.index(_BASIS[0])
 
 
 def solve(g: OrthoGraph, wlog: bool = False) -> SolveResult:
     """Decide colorability; SAT results carry a verified coloring.
 
-    With wlog=True the one vertex (1,0,0) is fixed to 1 up front, and
-    propagation sets (0,1,0) and (0,0,1) to 0; this is only admitted for
-    signed-permutation-invariant sets containing the standard basis.  SAT
-    verdicts found under the restriction are genuine; UNSAT verdicts
-    transfer to the unrestricted problem by symmetry.
+    With wlog=True the search starts from one vertex, (1,0,0), set to 1
+    up front, and propagation sets (0,1,0) and (0,0,1) to 0; this is only
+    admitted for signed-permutation-invariant sets containing the standard
+    basis.  SAT verdicts found under the restriction are genuine; UNSAT
+    verdicts transfer to the unrestricted problem by symmetry.
     """
-    fixed = _wlog_fixed(g) if wlog else []
-    search = _Search(len(g), g.edges, g.triples)
-    result = search.run(fixed)
+    first = _wlog_vertex(g) if wlog else None
+    result = _Search(len(g), g.edges, g.triples).run(first)
     if result.satisfiable and not verify_coloring(g, result.coloring):
         raise RuntimeError("search returned a coloring that violates a constraint")
     return result

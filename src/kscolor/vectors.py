@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional
 
 Vec3 = tuple[int, int, int]
@@ -40,10 +40,6 @@ def is_orthogonal(u: Vec3, v: Vec3) -> bool:
     if not any(u) or not any(v):
         raise ValueError("orthogonality is not defined for the zero vector")
     return dot(u, v) == 0
-
-
-def is_primitive(v: Vec3) -> bool:
-    return math.gcd(*v) == 1
 
 
 def is_well_signed(v: Vec3) -> bool:
@@ -171,13 +167,6 @@ SYMMETRY_GENERATORS: tuple[SignedPermutation, ...] = (
     ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
     ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
 )
-
-
-def apply_symmetry(g: SignedPermutation, v: Vec3) -> Vec3:
-    """Image of a canonical vector under g, re-canonicalized."""
-    if not is_signed_permutation(g):
-        raise ValueError("not a signed permutation matrix")
-    return canonicalize(apply_matrix(g, v))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +336,9 @@ def format_vector_set(s: VectorSet) -> str:
 
 def parse_vector_set(text: str) -> VectorSet:
     """Inverse of `format_vector_set`.  A `# vectors:` header must match the
-    number of vector lines, so a truncated file is refused."""
+    number of vector lines, so a truncated file is refused.  `N:` must be
+    squarefree and hold every norm's primes, `H:` be >= 1 and bound every
+    entry of the canonical vectors."""
     name = None
     numbers: dict[str, int] = {}  # the integer headers N, H and vectors
     vecs = []
@@ -376,8 +367,24 @@ def parse_vector_set(text: str) -> VectorSet:
     count = numbers.get("vectors")
     if count is not None and count != len(vecs):
         raise ValueError(f"header says {count} vectors, the file has {len(vecs)} vector lines")
-    return VectorSet.from_iterable(
-        vecs, name=name, n_divisor=numbers.get("N"), height=numbers.get("H"))
+    n, h = numbers.get("N"), numbers.get("H")
+    s = VectorSet.from_iterable(vecs, name=name, n_divisor=n, height=h)
+    if n is not None:
+        if n < 1 or radical(n) != n:
+            raise ValueError(f"N must be a positive squarefree integer, got {n}")
+        for q, v in {norm_sq(v): v for v in s}.items():
+            rest = q
+            while (d := math.gcd(rest, n)) > 1:
+                rest //= d
+            if rest > 1:
+                raise ValueError(f"the norm {q} of {v} has a prime that does not divide N = {n}")
+    if h is not None:
+        if h < 1:
+            raise ValueError(f"H must be >= 1, got {h}")
+        top = max(map(abs, chain.from_iterable(s.vectors)), default=0)
+        if top > h:
+            raise ValueError(f"an entry of absolute value {top} exceeds H = {h}")
+    return s
 
 
 def load_vector_set(path) -> VectorSet:

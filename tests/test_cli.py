@@ -149,6 +149,76 @@ def test_failed_coloring_write_leaves_no_side_file(command, side_flag, tmp_path,
     assert not side.exists()
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture()
+def sat_file(tmp_path, monkeypatch, capsys):
+    """sat.txt, a SAT slice, with a symlink link.txt and a hard link hard.txt
+    to it, in tmp_path, which is also the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "S", "--N", "455", "--height", "10", "-o", "sat.txt"]) == 0
+    capsys.readouterr()
+    os.symlink("sat.txt", "link.txt")
+    os.link("sat.txt", "hard.txt")
+    return "sat.txt"
+
+
+@pytest.mark.parametrize("output", ["sat.txt", "./sat.txt", "{tmp}/sat.txt", "link.txt", "hard.txt"])
+def test_solve_refuses_to_write_over_its_input(output, sat_file, tmp_path, capsys):
+    output = output.format(tmp=tmp_path)
+    before = _sha256(sat_file)
+    assert main(["solve", sat_file, "--coloring-out", output]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no verdict
+    assert captured.err == f"error: cannot write {output}: it is an input of this command\n"
+    assert _sha256(sat_file) == before
+    assert main(["solve", sat_file]) == 0  # the input still reads
+
+
+def test_solve_refuses_one_path_for_two_outputs(sat_file, tmp_path, capsys):
+    assert main(["solve", sat_file, "--cnf-out", "x.txt", "--coloring-out", "x.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write x.txt: it is another output of this command\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "{q}", "--dot-out", "{q}"],
+    ["ffproj", "--p", "13", "--reduce", "{q}", "--proj-out", "{q}"],
+])
+def test_graph_and_ffproj_refuse_to_write_over_their_input(argv, q_file, capsys):
+    before = _sha256(q_file)
+    assert main([a.format(q=q_file) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert "UNSAT" not in captured.out and "graph" not in captured.out
+    assert captured.err == f"error: cannot write {q_file}: it is an input of this command\n"
+    assert _sha256(q_file) == before
+
+
+def test_only_written_files_are_checked(q_file, capsys):
+    # UNSAT writes no coloring, so naming the input as its path is harmless
+    before = _sha256(q_file)
+    assert main(["solve", q_file, "--coloring-out", q_file]) == 2
+    assert capsys.readouterr().out.startswith("UNSAT")
+    assert _sha256(q_file) == before
+
+
+def test_outputs_that_are_not_regular_files_may_repeat(sat_file, capsys):
+    argv = ["solve", sat_file, "--cnf-out", os.devnull, "--coloring-out", os.devnull]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "SAT\n"
+
+
+def test_a_file_whose_headers_its_vectors_break_is_refused(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# H: 1\n1 2 3\n")
+    assert main(["stats", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: an entry of absolute value 3 exceeds H = 1\n"
+
+
 def test_solve_brute_guard(q_file, capsys):
     assert main(["solve", q_file, "--brute"]) == 1
     assert "brute force" in capsys.readouterr().err

@@ -15,7 +15,7 @@ import kscolor
 from kscolor.orthograph import GraphStats, _sieve_primes, build_graph, graph_stats, to_dot
 from kscolor.vectors import (
     VectorSet,
-    apply_symmetry,
+    apply_matrix,
     build_Q,
     build_Qn,
     canonicalize,
@@ -334,7 +334,7 @@ def test_relabeling_gives_isomorphic_stats():
     base = enumerate_S(6, 3)
     base_stats = graph_stats(build_graph(base))
     for g in rng.sample(signed_permutations(), 8):
-        mapped = VectorSet.from_iterable(apply_symmetry(g, v) for v in base)
+        mapped = VectorSet.from_iterable(canonicalize(apply_matrix(g, v)) for v in base)
         assert graph_stats(build_graph(mapped)) == base_stats
 
 

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from kscolor.orthograph import build_graph, graph_stats
-from kscolor import solver
+from kscolor import ffproj, solver
 from kscolor.solver import (
     CnfFormula,
     SolveResult,
@@ -24,9 +24,10 @@ from kscolor.solver import (
 )
 from kscolor.vectors import (
     VectorSet,
-    apply_symmetry,
+    apply_matrix,
     build_Q,
     build_Qn,
+    canonicalize,
     enumerate_S,
     signed_permutations,
 )
@@ -174,7 +175,7 @@ def test_verdict_invariant_under_relabeling():
         subset = VectorSet.from_iterable(rng.sample(q, rng.randint(4, 12)))
         verdict = solve(build_graph(subset)).satisfiable
         g = rng.choice(signed_permutations())
-        mapped = VectorSet.from_iterable(apply_symmetry(g, v) for v in subset)
+        mapped = VectorSet.from_iterable(canonicalize(apply_matrix(g, v)) for v in subset)
         assert solve(build_graph(mapped)).satisfiable == verdict
 
 
@@ -246,6 +247,29 @@ def test_static_order_matches_rescan_on_random_subsets(checked_solve):
         subset = VectorSet.from_iterable(rng.sample(q, rng.randint(1, 85)))
         checked += checked_solve(build_graph(subset))[1]
     assert checked > 60
+
+
+def test_search_sets_only_unassigned_vertices(monkeypatch):
+    # _set has no branch for an assigned vertex: the start vertex is set on
+    # an empty assignment and every decision comes from _pick
+    plain_set = solver._Search._set
+    calls = []
+
+    def checked_set(search, v, c):
+        if search.assign[v] is not None:  # not an assert, which python -O strips
+            raise AssertionError(f"vertex {v} set while assigned")
+        calls.append(v)
+        return plain_set(search, v, c)
+
+    monkeypatch.setattr(solver._Search, "_set", checked_set)
+    q = build_graph(build_Q())
+    for g, wlog in [(q, False), (q, True), (build_graph(enumerate_S(462, 8)), False),
+                    (build_graph(enumerate_S(35, 30)), False)]:
+        solve(g, wlog=wlog)
+    assert not ffproj.search_ba_coloring(ffproj.enumerate_projections(13)).satisfiable
+    reduced = ffproj.reduce_set_mod_p(build_Q(), 13)
+    assert not ffproj.restricted_ks_search(reduced.projections, 13).satisfiable
+    assert len(calls) > 100
 
 
 @pytest.mark.parametrize("p, stats", [(31, (10, 1058, 2)), (61, (20, 4020, 8))])

@@ -13,14 +13,12 @@ from kscolor.vectors import (
     SYMMETRY_GENERATORS,
     VectorSet,
     apply_matrix,
-    apply_symmetry,
     build_Q,
     build_Qn,
     canonicalize,
     enumerate_S,
     format_vector_set,
     is_orthogonal,
-    is_primitive,
     is_signed_permutation,
     is_well_signed,
     norm_sq,
@@ -67,7 +65,7 @@ def test_canonicalize_examples():
 def test_canonicalize_idempotent(v):
     w = canonicalize(v)
     assert canonicalize(w) == w
-    assert is_primitive(w) and is_well_signed(w)
+    assert math.gcd(*w) == 1 and is_well_signed(w)
 
 
 @given(nonzero_vec, st.integers(-7, 7).filter(lambda k: k != 0))
@@ -178,7 +176,7 @@ def test_block_sizes_and_invariants(n):
     assert len(block) == EXPECTED_SIZES[n]
     for v in block:
         assert norm_sq(v) == n
-        assert is_primitive(v) and is_well_signed(v)
+        assert math.gcd(*v) == 1 and is_well_signed(v)
 
 
 def _block_oracle(n):
@@ -197,7 +195,7 @@ def _block_oracle(n):
     return sorted(
         v
         for v in product(range(-b, b + 1), repeat=3)
-        if norm_sq(v) == n and is_primitive(v) and is_well_signed(v)
+        if norm_sq(v) == n and math.gcd(*v) == 1 and is_well_signed(v)
     )
 
 
@@ -250,7 +248,7 @@ def test_Q_pinned():
 def test_Q_invariant_under_signed_permutations():
     q = set(build_Q())
     for g in signed_permutations():
-        assert {apply_symmetry(g, v) for v in q} == q
+        assert {canonicalize(apply_matrix(g, v)) for v in q} == q
     assert build_Q().is_symmetry_invariant()
 
 
@@ -303,19 +301,15 @@ def test_is_signed_permutation():
               ((0, 0, 0), (0, 1, 0), (0, 0, 1)),  # a zero row
               ((1, 0, 0), (0, 1, 0))):  # two rows
         assert not is_signed_permutation(g)
-        with pytest.raises(ValueError):
-            apply_symmetry(g, (1, 0, 0))
 
 
 def test_apply_symmetry():
     rz = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
-    assert apply_symmetry(rz, (1, 0, 1)) == (1, 0, -1)
+    assert canonicalize(apply_matrix(rz, (1, 0, 1))) == (1, 0, -1)
     ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert apply_symmetry(ident, (2, 1, -1)) == (2, 1, -1)
+    assert canonicalize(apply_matrix(ident, (2, 1, -1))) == (2, 1, -1)
     swap_xy = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-    assert apply_symmetry(swap_xy, (2, 1, -1)) == (1, 2, -1)
-    with pytest.raises(ValueError):
-        apply_symmetry(((2, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
+    assert canonicalize(apply_matrix(swap_xy, (2, 1, -1))) == (1, 2, -1)
 
 
 def test_symmetries_preserve_norm_and_orthogonality():
@@ -519,3 +513,23 @@ def test_parse_refuses_a_count_its_vector_lines_disagree_with():
 def test_parse_reports_a_non_integer_header_with_its_line(header):
     with pytest.raises(ValueError, match="line 2: expected an integer after"):
         parse_vector_set(f"# name: x\n# {header}\n1 0 0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# N: 4\n# H: -3\n1 0 0\n", "N must be a positive squarefree integer, got 4"),
+    ("# N: 0\n1 0 0\n", "N must be a positive squarefree integer, got 0"),
+    ("# N: 12\n1 0 0\n", "N must be a positive squarefree integer, got 12"),
+    ("# N: 2\n1 1 1\n", r"the norm 3 of \(1, 1, 1\) has a prime that does not divide N = 2"),
+    ("# N: 462\n# H: 1\n1 2 3\n", "an entry of absolute value 3 exceeds H = 1"),
+    ("# H: 0\n1 0 0\n", "H must be >= 1, got 0"),
+    ("# H: -3\n", "H must be >= 1, got -3"),
+], ids=["N=4,H=-3", "N=0", "N=12", "norm 3, N=2", "entry 3, H=1", "H=0", "H=-3"])
+def test_parse_refuses_slice_headers_the_vectors_break(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_vector_set(text)
+
+
+def test_parse_checks_the_height_of_each_line_not_of_its_spelling():
+    s = parse_vector_set("# N: 1\n# H: 1\n2 0 0\n")  # the line of (1,0,0)
+    assert (s.vectors, s.n_divisor, s.height) == (((1, 0, 0),), 1, 1)
+    assert parse_vector_set("# N: 3\n# H: 1\n-1 -1 -1\n").vectors == ((1, 1, 1),)
