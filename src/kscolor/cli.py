@@ -3,11 +3,12 @@
 A command line takes one of two routes.  A plain line (a command, its
 positionals first, then exact flags each given once, values as their own
 words) is read straight from ``COMMANDS``.  Every other line, help and usage
-errors included, goes through argparse, which is imported only then.
+errors included, goes through argparse, which is imported only then.  A
+command hands all its output, stdout and files, to ``_write`` in one call.
 
 Exit codes: 0 success (SAT / Valid where relevant), 1 usage, domain, input
-or write error, 2 negative verdict where a positive one was requested
-(UNSAT from `solve` and `ffproj`, Invalid from `certify`).
+or write error (stdout's too), 2 negative verdict where a positive one was
+requested (UNSAT from `solve` and `ffproj`, Invalid from `certify`).
 """
 
 from __future__ import annotations
@@ -34,21 +35,25 @@ def _file_key(path):
 
 
 def _write(files, inputs=()) -> None:
-    """Write each (path, text) pair: to stdout for a None path, else to the
-    file.  A path naming an input or another path of the call is refused
-    first; an existing file that is not regular, such as /dev/stdout, is
-    exempt.  If a write fails, the regular files already written are removed."""
+    """Write each (path, text) pair to its file, then those with a None path
+    to stdout, so a verdict follows its files.  A path naming an input or
+    another path of the call, or a closed stdout, is refused first; an
+    existing file that is not regular, such as /dev/stdout, is exempt.  If a
+    write fails, stdout's too, the regular files already written are removed."""
     taken = {_file_key(p): "an input" for p in inputs if p}
     for path, _text in files:
+        if path is None and sys.stdout is None:  # fd 1 was closed at start-up
+            raise ValueError("cannot write stdout: it is closed")
         key = path and _file_key(path)
         if key and key in taken:
             raise ValueError(f"cannot write {path}: it is {taken[key]} of this command")
         taken[key] = "another output"
     written = []
     try:
-        for path, text in files:
+        for path, text in sorted(files, key=lambda pair: pair[0] is None):
             if path is None:
                 sys.stdout.write(text)
+                sys.stdout.flush()
                 continue
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -57,7 +62,10 @@ def _write(files, inputs=()) -> None:
         for done in written:
             if os.path.isfile(done):
                 os.remove(done)
-        raise ValueError(f"cannot write {path}: {exc}")
+        if path is None and sys.stdout is sys.__stdout__:  # else the exit-time flush fails again
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ValueError(f"cannot write {'stdout' if path is None else path}: {exc}")
 
 
 def _build_set(args) -> vectors.VectorSet:
@@ -96,10 +104,8 @@ def cmd_graph(args) -> int:
 def cmd_stats(args) -> int:
     s = _load_set(args.input)
     st = orthograph.build_graph(s).stats()
-    print(f"vertices:   {st.vertices}")
-    print(f"edges:      {st.edges}")
-    print(f"triples:    {st.triples}")
-    print(f"bare edges: {st.bare_edges}")
+    _write([(None, f"vertices:   {st.vertices}\nedges:      {st.edges}\n"
+                   f"triples:    {st.triples}\nbare edges: {st.bare_edges}\n")])
     return 0
 
 
@@ -109,18 +115,16 @@ def cmd_solve(args) -> int:
     s = _load_set(args.input)
     g = orthograph.build_graph(s)
     result = solver.solve_bruteforce(g) if args.brute else solver.solve(g, wlog=args.wlog)
-    side = [(args.cnf_out, solver.to_dimacs(solver.export_cnf(g), g.vectors))] if args.cnf_out else []
-    if result.satisfiable and args.coloring_out:
-        side.append((args.coloring_out, solver.format_coloring(g.vectors, result.coloring)))
-    _write(side, [args.input])  # only after the run succeeded; a failed write prints no verdict
-    print(result.verdict)
+    out = [(args.cnf_out, solver.to_dimacs(solver.export_cnf(g), g.vectors))] if args.cnf_out else []
+    out.append((None, f"{result.verdict}\n"))
     if result.satisfiable:
-        if not args.coloring_out:
-            sys.stdout.write(solver.format_coloring(g.vectors, result.coloring))
-        return 0
-    st = result.stats
-    print(f"nodes: {st.nodes}  propagations: {st.propagations}  max depth: {st.max_depth}")
-    return 2
+        out.append((args.coloring_out, solver.format_coloring(g.vectors, result.coloring)))
+    else:
+        st = result.stats
+        out.append((None, f"nodes: {st.nodes}  propagations: {st.propagations}  "
+                          f"max depth: {st.max_depth}\n"))
+    _write(out, [args.input])
+    return 0 if result.satisfiable else 2
 
 
 def cmd_certify(args) -> int:
@@ -138,14 +142,10 @@ def cmd_certify(args) -> int:
     except ValueError as exc:
         raise ValueError(f"certificate parse error: {exc}")
     result = cert_mod.verify_certificate(g, cert)
-    if result.valid:
-        print("Valid")
-        return 0
-    if result.failed_step is not None:
-        print(f"Invalid at step {result.failed_step + 1}: {result.reason}")
-    else:
-        print(f"Invalid: {result.reason}")
-    return 2
+    step = "" if result.failed_step is None else f" at step {result.failed_step + 1}"
+    verdict = "Valid" if result.valid else f"Invalid{step}: {result.reason}"
+    _write([(None, f"{verdict}\n")])
+    return 0 if result.valid else 2
 
 
 def cmd_ffproj(args) -> int:
@@ -154,20 +154,20 @@ def cmd_ffproj(args) -> int:
         reduced = ffproj.reduce_set_mod_p(_load_set(args.reduce), p)
         projs = reduced.projections
         note = " (collisions merged)" if reduced.collided else ""
-        print(f"{len(projs)} rank-1 projections mod {p}{note}")
+        header = f"{len(projs)} rank-1 projections mod {p}{note}"
         result = ffproj.restricted_ks_search(projs, p)
     else:
         algebra = ffproj.enumerate_projections(p)
         projs = algebra.projections
         ranks = algebra.rank_counts()
         rank_desc = ", ".join(f"rank {r}: {ranks[r]}" for r in sorted(ranks))
-        print(f"{len(algebra)} projections over F_{p} ({rank_desc})")
+        header = f"{len(algebra)} projections over F_{p} ({rank_desc})"
         result = ffproj.search_ba_coloring(algebra)
-    side = [(args.proj_out, ffproj.format_projections(p, projs))] if args.proj_out else []
+    out = [(args.proj_out, ffproj.format_projections(p, projs))] if args.proj_out else []
     if result.satisfiable and args.coloring_out:
-        side.append((args.coloring_out, solver.format_coloring(projs, result.coloring)))
-    _write(side, [args.reduce])  # only after the run succeeded; a failed write prints no verdict
-    print(result.verdict)
+        out.append((args.coloring_out, solver.format_coloring(projs, result.coloring)))
+    out.append((None, f"{header}\n{result.verdict}\n"))
+    _write(out, [args.reduce])
     return 0 if result.satisfiable else 2
 
 

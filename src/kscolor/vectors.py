@@ -73,15 +73,24 @@ def canonicalize(v: Vec3) -> Vec3:
     return x // g, y // g, z // g
 
 
+#: trial division stops here; what it leaves above must be one prime
+TRIAL_DIVISION_BOUND = 10**6
+
+
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime divisors of n >= 1, ascending (none for n < 2)."""
+    """The distinct prime divisors of n >= 1, ascending (none for n < 2).
+    ValueError if trial division to TRIAL_DIVISION_BOUND leaves a cofactor
+    that is not a prime `is_prime` can decide."""
     primes, m, p = [], n, 2
-    while p * p <= m:
+    while p * p <= m and p <= TRIAL_DIVISION_BOUND:
         if m % p == 0:
             primes.append(p)
             while m % p == 0:
                 m //= p
         p += 1 if p == 2 else 2
+    if p * p <= m and (m >= MILLER_RABIN_BOUND or not is_prime(m)):
+        raise ValueError(f"cannot factor N: trial division to {TRIAL_DIVISION_BOUND} leaves {m}, "
+                         f"which is not a prime below {MILLER_RABIN_BOUND}")
     if m > 1:
         primes.append(m)
     return primes

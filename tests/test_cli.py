@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -659,3 +660,93 @@ def test_plain_lines_leave_argparse_unimported(tmp_path):
                          env=env, capture_output=True, text=True, check=True)
     assert (tmp_path / "q.txt").exists()  # the README's first line ran
     assert json.loads(out.stdout.splitlines()[-1]) == [[], [], True]
+
+
+def _kscolor(argv, cwd, **kwargs):
+    """Run ``kscolor argv`` in a fresh interpreter with stdout buffered, as it
+    is when PYTHONUNBUFFERED is unset; the timeout fails a run that hangs."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(kscolor.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "kscolor.cli", *argv], cwd=cwd, env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
+def _assert_one_error_line(run, line):
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [line]  # no traceback, no "Exception ignored"
+
+
+@pytest.fixture()
+def run_dir(tmp_path, capsys):
+    """tmp_path holding q.txt (Q, UNSAT) and sat.txt (a SAT slice)."""
+    main(["build", "Q", "-o", str(tmp_path / "q.txt")])
+    main(["build", "S", "--N", "455", "--height", "10", "-o", str(tmp_path / "sat.txt")])
+    capsys.readouterr()
+    return tmp_path
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["stats", "q.txt"], ["solve", "sat.txt", "--cnf-out", "y.cnf"]])
+def test_a_full_stdout_is_a_write_error(argv, run_dir):
+    with open("/dev/full", "w") as full:
+        run = _kscolor(argv, run_dir, stdout=full)
+    _assert_one_error_line(run, f"error: cannot write stdout: [Errno {errno.ENOSPC}] "
+                                f"{os.strerror(errno.ENOSPC)}")
+    assert not (run_dir / "y.cnf").exists()  # the files of a failed run are removed
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "sat.txt"], ["stats", "q.txt"], ["build", "S", "--N", "30030", "--height", "40"],
+])
+def test_a_closed_pipe_is_a_write_error(argv, run_dir):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        run = _kscolor(argv, run_dir, stdout=write_end)
+    finally:
+        os.close(write_end)
+    _assert_one_error_line(run, f"error: cannot write stdout: [Errno {errno.EPIPE}] "
+                                f"{os.strerror(errno.EPIPE)}")
+
+
+@pytest.mark.parametrize("argv", [["stats", "q.txt"], ["solve", "q.txt"], ["build", "Q"]])
+def test_a_closed_stdout_is_a_write_error(argv, run_dir):
+    run = _kscolor(argv, run_dir, preexec_fn=lambda: os.close(1))
+    _assert_one_error_line(run, "error: cannot write stdout: it is closed")
+
+
+def test_a_failing_stdout_object_is_a_write_error(run_dir, monkeypatch, capsys):
+    class FullStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.chdir(run_dir)
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(["solve", "sat.txt", "--cnf-out", "y.cnf"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert not (run_dir / "y.cnf").exists()
+
+
+def test_a_large_prime_N_builds_and_loads(tmp_path):
+    n = 10**18 + 3  # prime
+    run = _kscolor(["build", "S", "--N", str(n), "--height", "1", "-o", "big.txt"], tmp_path)
+    assert (run.returncode, run.stderr) == (0, f"S({n})|H=1: 3 vectors\n")
+    run = _kscolor(["stats", "big.txt"], tmp_path, stdout=subprocess.PIPE)
+    assert (run.returncode, run.stdout) == (
+        0, "vertices:   3\nedges:      3\ntriples:    1\nbare edges: 0\n")
+
+
+@pytest.mark.parametrize("n", [
+    1000003 * 1000033,  # two primes above the trial division bound
+    (10**9 + 7) ** 2,
+    1000003**5,  # a cofactor Miller-Rabin cannot decide
+])
+def test_build_and_stats_refuse_an_N_they_cannot_factor(n, tmp_path):
+    reason = "cannot factor N: trial division to 1000000 leaves "
+    run = _kscolor(["build", "S", "--N", str(n), "--height", "1"], tmp_path)
+    assert run.returncode == 1 and run.stderr.startswith(f"error: {reason}")
+    (tmp_path / "big.txt").write_text(f"# N: {n}\n1 0 0\n")
+    run = _kscolor(["stats", "big.txt"], tmp_path)
+    assert run.returncode == 1 and run.stderr.startswith(f"error: big.txt: {reason}")
+

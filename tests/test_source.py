@@ -93,3 +93,26 @@ def test_install_metadata_names_the_console_script_and_the_certificate():
             for pattern in meta["tool"]["setuptools"]["package-data"]["kscolor"]
             for path in package_dir.glob(pattern)}
     assert "data/q_uncolorable.cert" in data
+
+
+def test_cli_writes_stdout_only_through_write():
+    # one output route: _write puts files before stdout and turns a failed
+    # stdout write into a write error, so nothing else in the CLI may print
+    tree = _package_trees()["cli"]
+    write = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_write")
+    in_write = {id(node) for node in ast.walk(write)}
+
+    def is_sys(node, name):
+        return (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    to_stdout = [node.lineno for node in prints
+                 if not any(k.arg == "file" and is_sys(k.value, "stderr") for k in node.keywords)]
+    stdout_uses = [node.lineno for node in ast.walk(tree)
+                   if is_sys(node, "stdout") and id(node) not in in_write]
+    assert len(prints) == 2  # build's vector count and main's error line
+    assert to_stdout == []
+    assert stdout_uses == []

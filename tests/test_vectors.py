@@ -1,12 +1,16 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kscolor
 from kscolor.orthograph import build_graph
 from kscolor.vectors import (
     Q_BLOCK_NORMS,
@@ -162,6 +166,17 @@ def test_radical_against_oracle(n):
 def test_radical_keeps_no_memo():
     # a process-wide memo would only grow, and nothing needs it
     assert not hasattr(radical, "cache_info")
+
+
+def test_radical_of_a_large_N():
+    # in a fresh interpreter, so a factoring that never ends fails at the
+    # timeout instead of hanging the suite
+    n = 10**18 + 3  # prime, far above what trial division reaches
+    code = f"from kscolor.vectors import radical\nprint(radical({n}), radical({462 * n}))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kscolor.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout == f"{n} {462 * n}\n"
 
 
 # ---------------------------------------------------------------------------
