@@ -6,7 +6,6 @@ from .vectors import (
     build_Qn,
     canonicalize,
     enumerate_S,
-    is_orthogonal,
     is_well_signed,
     norm_sq,
     radical,

@@ -73,6 +73,11 @@ class Contradiction:
 
 Step = Union[WlogFix, Propagate, Contradiction]
 
+#: The bundled certificate's first step: (1,0,0) is 1, since the basis
+#: triple holds a 1 and the x<->y and x<->z swaps carry the others onto it.
+BASIS_WLOG = WlogFix((1, 0, 0), 1, (((0, 1, 0), ((0, 1, 0), (1, 0, 0), (0, 0, 1))),
+                                    ((0, 0, 1), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))))
+
 
 @dataclass(frozen=True)
 class Certificate:

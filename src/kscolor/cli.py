@@ -4,7 +4,8 @@ A command line takes one of two routes.  A plain line (a command, its
 positionals first, then exact flags each given once, values as their own
 words) is read straight from ``COMMANDS``.  Every other line, help and usage
 errors included, goes through argparse, which is imported only then.  A
-command hands all its output, stdout and files, to ``_write`` in one call.
+command hands all its output, stdout and files, to ``_write`` in one call,
+and help goes to stdout through ``_write`` too.
 
 Exit codes: 0 success (SAT / Valid where relevant), 1 usage, domain, input
 or write error (stdout's too), 2 negative verdict where a positive one was
@@ -185,7 +186,9 @@ COMMANDS = {
     "solve": (cmd_solve, "decide colorability of a vector-set file", (
         ("input", {}),
         ("--brute", dict(action="store_true", help="use the exhaustive oracle")),
-        ("--wlog", dict(action="store_true", help="fix one basis triple by symmetry")),
+        ("--wlog", dict(action="store_true", help="fix (1,0,0) to 1 by the bundled "
+                        "certificate's first step: needs the basis, and the set fixed "
+                        "by the x<->y and x<->z swaps")),
         ("--cnf-out", dict(help="also write a DIMACS CNF encoding")),
         ("--coloring-out", dict(help="write the coloring here on SAT")))),
     "certify": (cmd_certify, "replay an uncolorability certificate", (
@@ -205,11 +208,18 @@ def build_parser() -> argparse.ArgumentParser:
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        """Usage errors exit 1: exit code 2 is a negative verdict."""
+        """Usage errors exit 1: exit code 2 is a negative verdict.  Help goes
+        to stdout through ``_write``, so a failed write is a write error."""
 
         def error(self, message):
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
+
+        def _print_message(self, message, file=None):
+            if file is sys.stderr:
+                super()._print_message(message, file)
+            else:
+                _write([(None, message)])
 
     parser = _Parser(
         prog="kscolor",
@@ -283,10 +293,10 @@ def _read_plain(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_plain(argv)
-    if args is None:  # help, a usage error, or a form only argparse reads
-        args = build_parser().parse_args(argv)
     try:
+        args = _read_plain(argv)
+        if args is None:  # help, a usage error, or a form only argparse reads
+            args = build_parser().parse_args(argv)
         return COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

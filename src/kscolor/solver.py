@@ -25,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .certificate import BASIS_WLOG, Certificate, verify_certificate
 from .orthograph import OrthoGraph, build_graph
 from .vectors import VectorSet, Vec3
 
 BRUTE_FORCE_LIMIT = 25
 CNF_BRUTE_LIMIT = 20
-
-_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -175,30 +174,25 @@ class _Search:
 
 
 def _wlog_vertex(g: OrthoGraph) -> int:
-    """The index of (1,0,0), the one start vertex set to 1 by the
-    certificate's `wlog` step; propagation then sets the other two axes to 0.
-
-    Sound for UNSAT because the set must be invariant under all 48 signed
-    permutations, whose coordinate 3-cycles act transitively on the basis
-    triple, so some rotation of any hypothetical coloring assigns the 1 to
-    (1,0,0).
-    """
-    vecs = g.vectors
-    if not all(b in vecs for b in _BASIS):
-        raise ValueError("symmetry shortcut needs the standard basis vectors present")
-    if not g.vector_set.is_symmetry_invariant():
-        raise ValueError("symmetry shortcut needs a signed-permutation-invariant set")
-    return vecs.index(_BASIS[0])
+    """The index of (1,0,0), the one start vertex set to 1, once the
+    certificate step `BASIS_WLOG` replays on g; propagation then sets the
+    other two axes to 0."""
+    replay = verify_certificate(g, Certificate((BASIS_WLOG,)))
+    if replay.failed_step is not None:
+        raise ValueError(f"symmetry shortcut needs a set on which the basis wlog step "
+                         f"replays: {replay.reason}")
+    return g.vectors.index(BASIS_WLOG.vertex)
 
 
 def solve(g: OrthoGraph, wlog: bool = False) -> SolveResult:
     """Decide colorability; SAT results carry a verified coloring.
 
     With wlog=True the search starts from one vertex, (1,0,0), set to 1
-    up front, and propagation sets (0,1,0) and (0,0,1) to 0; this is only
-    admitted for signed-permutation-invariant sets containing the standard
-    basis.  SAT verdicts found under the restriction are genuine; UNSAT
-    verdicts transfer to the unrestricted problem by symmetry.
+    up front, and propagation sets (0,1,0) and (0,0,1) to 0.  This is
+    admitted only where the bundled certificate's first step, `BASIS_WLOG`,
+    replays: the basis must be present and the set fixed by the x<->y and
+    x<->z swaps.  SAT verdicts found under the restriction are genuine;
+    UNSAT verdicts transfer to the unrestricted problem by that step.
     """
     first = _wlog_vertex(g) if wlog else None
     result = _Search(len(g), g.edges, g.triples).run(first)

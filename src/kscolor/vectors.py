@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Optional
 
 Vec3 = tuple[int, int, int]
@@ -29,17 +29,6 @@ def norm_sq(v: Vec3) -> int:
     """Sum-of-squares quadratic form x^2 + y^2 + z^2."""
     x, y, z = v
     return x * x + y * y + z * z
-
-
-def dot(u: Vec3, v: Vec3) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def is_orthogonal(u: Vec3, v: Vec3) -> bool:
-    """Exact integer orthogonality test."""
-    if not any(u) or not any(v):
-        raise ValueError("orthogonality is not defined for the zero vector")
-    return dot(u, v) == 0
 
 
 def is_well_signed(v: Vec3) -> bool:
@@ -159,15 +148,6 @@ def is_signed_permutation(g: SignedPermutation) -> bool:
     """Exactly one entry of magnitude 1 per row and per column, rest zero:
     the rows' absolute values are the three unit rows, in some order."""
     return sorted(tuple(map(abs, row)) for row in g) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-
-
-def signed_permutations() -> list[SignedPermutation]:
-    """All 48 signed permutation matrices, in a fixed deterministic order."""
-    return [
-        tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(3)) for i in range(3))
-        for perm in permutations(range(3))
-        for signs in product((1, -1), repeat=3)
-    ]
 
 
 #: Swap x and y, cycle x -> y -> z, negate x: together they generate all 48.
@@ -309,13 +289,11 @@ def enumerate_S(n_divisor: int, height: int) -> VectorSet:
     norm.  The admissible norms up to 3H^2 are the products of powers of N's
     primes, so N is factored once and no norm is tested.
     """
-    if n_divisor < 1:
+    primes = _prime_factors(n_divisor)  # none for N < 1
+    if n_divisor < 1 or math.prod(primes) != n_divisor:
         raise ValueError(f"N must be a positive squarefree integer, got {n_divisor}")
-    primes = _prime_factors(n_divisor)
-    if math.prod(primes) != n_divisor:
-        raise ValueError(f"N must be squarefree, got {n_divisor} (pass radical(N))")
     if height < 1:
-        raise ValueError("height bound must be >= 1")
+        raise ValueError(f"H must be >= 1, got {height}")
     limit, norms = 3 * height * height, [1]
     for p in primes:
         norms += [m * p**e for m in norms for e in range(1, limit.bit_length()) if m * p**e <= limit]

@@ -1,0 +1,18 @@
+"""Second routes the tests check kscolor against, written from the
+definitions and sharing no code with the package."""
+
+from itertools import permutations, product
+
+
+def dot(u, v):
+    """The integer dot product of two 3-vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def signed_permutations():
+    """All 48 signed permutation matrices: row i holds signs[i] in column perm[i]."""
+    return [
+        tuple(tuple(sign if j == col else 0 for j in range(3)) for col, sign in zip(perm, signs))
+        for perm in permutations(range(3))
+        for signs in product((1, -1), repeat=3)
+    ]

@@ -28,8 +28,9 @@ from kscolor.vectors import (
     enumerate_S,
     is_well_signed,
     norm_sq,
-    signed_permutations,
 )
+
+from oracles import signed_permutations
 
 EXPECTED_PART_SIZES = (3, 6, 4, 12, 24, 12, 24)
 

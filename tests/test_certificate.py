@@ -17,7 +17,9 @@ from kscolor.certificate import (
 )
 from kscolor.orthograph import build_graph
 from kscolor.solver import solve
-from kscolor.vectors import VectorSet, build_Q, build_Qn, enumerate_S, signed_permutations
+from kscolor.vectors import VectorSet, build_Q, build_Qn, enumerate_S
+
+from oracles import signed_permutations
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -202,6 +204,10 @@ def test_contradiction_not_forced(q_graph):
     cert = Certificate((Contradiction(vertex=(-3, 8, 2)),))
     result = verify_certificate(q_graph, cert)
     assert not result.valid
+
+
+def test_basis_wlog_is_the_bundled_first_step(bundled):
+    assert certificate.BASIS_WLOG == bundled.steps[0]
 
 
 BASIS_WLOG = "wlog 1 0 0 -> 1 alt 0 1 0 via 0 1 0 1 0 0 0 0 1 alt 0 0 1 via 0 0 1 0 1 0 1 0 0\n"

@@ -245,7 +245,7 @@ def test_solve_leaves_dot_export_to_graph(tmp_path, q_file):
 
 @pytest.mark.parametrize("argv, message", [
     (["solve", "{tmp}/nothere.txt"], "error: cannot read {tmp}/nothere.txt: "),
-    (["build", "S", "--N", "6", "--height", "0"], "error: height bound must be >= 1"),
+    (["build", "S", "--N", "6", "--height", "0"], "error: H must be >= 1, got 0"),
     (["solve", "{tmp}/nonsym.txt", "--wlog"], "error: symmetry shortcut needs a "),
     (["certify", "{q}", "{tmp}/nothere.cert"], "error: cannot read certificate: "),
     (["certify", "{q}", "{tmp}/bad.cert"], "error: certificate parse error: line 1: "),
@@ -686,7 +686,9 @@ def run_dir(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["stats", "q.txt"], ["solve", "sat.txt", "--cnf-out", "y.cnf"]])
+@pytest.mark.parametrize("argv", [
+    ["stats", "q.txt"], ["solve", "sat.txt", "--cnf-out", "y.cnf"], ["--help"], ["solve", "--help"],
+])
 def test_a_full_stdout_is_a_write_error(argv, run_dir):
     with open("/dev/full", "w") as full:
         run = _kscolor(argv, run_dir, stdout=full)
@@ -697,6 +699,7 @@ def test_a_full_stdout_is_a_write_error(argv, run_dir):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "sat.txt"], ["stats", "q.txt"], ["build", "S", "--N", "30030", "--height", "40"],
+    ["solve", "--help"],
 ])
 def test_a_closed_pipe_is_a_write_error(argv, run_dir):
     read_end, write_end = os.pipe()

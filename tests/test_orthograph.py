@@ -19,10 +19,10 @@ from kscolor.vectors import (
     build_Q,
     build_Qn,
     canonicalize,
-    dot,
     enumerate_S,
-    signed_permutations,
 )
+
+from oracles import dot, signed_permutations
 
 # Regression constants for the 85-vector set, first derived with the cubic
 # oracle below.

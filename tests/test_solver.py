@@ -5,7 +5,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from kscolor.certificate import BASIS_WLOG, Certificate, verify_certificate
 from kscolor.orthograph import build_graph, graph_stats
 from kscolor import ffproj, solver
 from kscolor.solver import (
@@ -29,8 +31,9 @@ from kscolor.vectors import (
     build_Qn,
     canonicalize,
     enumerate_S,
-    signed_permutations,
 )
+
+from oracles import signed_permutations
 
 
 def _graph_of(*blocks):
@@ -110,6 +113,35 @@ def test_wlog_rejected_for_asymmetric_set():
     s = VectorSet.from_iterable([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)])
     with pytest.raises(ValueError):
         solve(build_graph(s), wlog=True)
+
+
+BASIS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+#: x<->y and x<->z: the witnesses of the certificate's `wlog` step
+SWAPS = [((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))]
+#: the six coordinate permutations: the signed permutations with no minus sign
+COORDINATE_PERMUTATIONS = [g for g in signed_permutations() if min(map(min, g)) == 0]
+
+
+@settings(max_examples=150, deadline=None)
+# the positive octant's seven lines: moved by sign changes, yet the step replays
+@example(kind="coordinate", basis=True, vecs=[(1, 1, 0), (1, 1, 1)])
+@given(kind=st.sampled_from(["signed", "coordinate", "asymmetric"]), basis=st.booleans(),
+       vecs=st.lists(st.tuples(*[st.integers(-3, 3)] * 3).filter(any), max_size=4))
+def test_wlog_admits_exactly_where_the_basis_wlog_step_replays(kind, basis, vecs):
+    group = {"signed": signed_permutations(), "coordinate": COORDINATE_PERMUTATIONS,
+             "asymmetric": [((1, 0, 0), (0, 1, 0), (0, 0, 1))]}[kind]
+    lines = {canonicalize(apply_matrix(h, v)) for h in group for v in vecs + (BASIS if basis else [])}
+    g = build_graph(VectorSet.from_iterable(lines))
+    fixed = {canonicalize(apply_matrix(h, v)) for h in SWAPS for v in lines} == lines
+    replays = verify_certificate(g, Certificate((BASIS_WLOG,))).failed_step is None
+    assert replays == (set(BASIS) <= lines and fixed)
+    if replays:
+        r = solve(g, wlog=True)
+        assert r.satisfiable == solve(g).satisfiable
+        assert not r.satisfiable or r.coloring[g.vectors.index((1, 0, 0))] == 1
+    else:
+        with pytest.raises(ValueError, match="^symmetry shortcut needs a "):
+            solve(g, wlog=True)
 
 
 def test_solve_small_sat():

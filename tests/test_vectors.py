@@ -22,14 +22,14 @@ from kscolor.vectors import (
     canonicalize,
     enumerate_S,
     format_vector_set,
-    is_orthogonal,
     is_signed_permutation,
     is_well_signed,
     norm_sq,
     parse_vector_set,
     radical,
-    signed_permutations,
 )
+
+from oracles import dot, signed_permutations
 
 nonzero_vec = st.tuples(
     st.integers(-100, 100), st.integers(-100, 100), st.integers(-100, 100)
@@ -131,14 +131,6 @@ def test_zero_vector_is_refused(zero):
         is_well_signed(zero)
     with pytest.raises(ValueError, match="zero vector"):
         canonicalize(zero)
-
-
-def test_orthogonality():
-    assert is_orthogonal((2, 1, -1), (-3, 8, 2))
-    assert is_orthogonal((1, 0, 0), (0, 1, 0))
-    assert not is_orthogonal((1, 1, 0), (1, 0, 1))
-    with pytest.raises(ValueError):
-        is_orthogonal((0, 0, 0), (1, 0, 0))
 
 
 def test_radical():
@@ -338,7 +330,7 @@ def test_symmetries_preserve_norm_and_orthogonality():
             continue
         g = mats[rng.randrange(48)]
         assert norm_sq(apply_matrix(g, v)) == norm_sq(v)
-        assert is_orthogonal(v, w) == is_orthogonal(apply_matrix(g, v), apply_matrix(g, w))
+        assert (dot(v, w) == 0) == (dot(apply_matrix(g, v), apply_matrix(g, w)) == 0)
 
 
 # ---------------------------------------------------------------------------
