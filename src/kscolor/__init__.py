@@ -10,15 +10,8 @@ from .vectors import (
     norm_sq,
     radical,
 )
-from .orthograph import OrthoGraph, build_graph, graph_stats
-from .solver import (
-    SolveResult,
-    export_cnf,
-    solve,
-    solve_bruteforce,
-    solve_set,
-    verify_coloring,
-)
+from .orthograph import OrthoGraph, build_graph
+from .solver import SolveResult, export_cnf, solve, verify_coloring
 from .certificate import (
     Certificate,
     load_bundled_certificate,

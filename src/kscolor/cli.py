@@ -111,11 +111,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.brute and args.wlog:
-        raise ValueError("--wlog does not apply to --brute")
     s = _load_set(args.input)
     g = orthograph.build_graph(s)
-    result = solver.solve_bruteforce(g) if args.brute else solver.solve(g, wlog=args.wlog)
+    result = solver.solve(g, wlog=args.wlog)
     out = [(args.cnf_out, solver.to_dimacs(solver.export_cnf(g), g.vectors))] if args.cnf_out else []
     out.append((None, f"{result.verdict}\n"))
     if result.satisfiable:
@@ -185,7 +183,6 @@ COMMANDS = {
     "stats": (cmd_stats, "orthogonality graph statistics", (("input", {}),)),
     "solve": (cmd_solve, "decide colorability of a vector-set file", (
         ("input", {}),
-        ("--brute", dict(action="store_true", help="use the exhaustive oracle")),
         ("--wlog", dict(action="store_true", help="fix (1,0,0) to 1 by the bundled "
                         "certificate's first step: needs the basis, and the set fixed "
                         "by the x<->y and x<->z swaps")),

@@ -38,6 +38,10 @@ from .vectors import Vec3, VectorSet, is_prime, require_prime
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
 
+#: the most memory `build_graph` gives its masks: one n-bit mask per vertex,
+#: about n^2 / 16 bytes in all, so it refuses a set of more than 92 681 vectors
+MASK_BYTES_LIMIT = 512 << 20
+
 
 def _sieve_primes(bound: int) -> list[int]:
     """The primes in increasing order until their product exceeds bound.
@@ -156,8 +160,13 @@ def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
 
     Vectors u, v are orthogonal when u.v = 0, or with p, which must be prime
     (ValueError otherwise), when u.v = 0 mod p: they then stand for lines of F_p^3.
+    A set whose masks would pass `MASK_BYTES_LIMIT` is refused before any is made.
     """
     vecs = s.vectors
+    if len(vecs) ** 2 // 16 > MASK_BYTES_LIMIT:
+        raise ValueError(f"a graph of {len(vecs)} vertices needs about "
+                         f"{len(vecs) ** 2 >> 24} MiB of masks, beyond the "
+                         f"{MASK_BYTES_LIMIT >> 20} MiB limit")
     if p is None:
         primes = _sieve_primes(3 * max((abs(x) for v in vecs for x in v), default=0) ** 2)
     else:

@@ -13,11 +13,12 @@ decision.  The walk for the next decision resumes from a cursor saved with
 each decision, not from the start of the order.  Everything is
 deterministic.
 
-A 2^n brute-force oracle and a CNF export (with its own tiny brute-force
-satisfiability check) provide independent routes to the same verdicts.
-A generic DPLL over clause lists (`solve_cnf`) is kept as well.  Nothing in
-the package calls it: the tests use it as an oracle on clause encodings,
-and the benchmark's tracer names it.
+`solve` gives every verdict the package and its CLI report.  The 2^n
+brute force (`solve_bruteforce`), the CNF export's tiny brute-force
+satisfiability check and a generic DPLL over clause lists (`solve_cnf`)
+reach the same verdicts by other routes.  Only the tests reach them, as
+oracles; nothing in the package calls them, and the benchmark's tracer
+names them.
 """
 
 from __future__ import annotations

@@ -277,6 +277,11 @@ def build_Q() -> VectorSet:
         _q_lines(list(Q_BLOCK_NORMS)), name="Q", n_divisor=462, height=8)
 
 
+#: the greatest height `enumerate_S` scans: the scan takes about H^2 / 2
+#: bisections whatever N is (about a second for N = 6 at this bound)
+MAX_HEIGHT = 1000
+
+
 def enumerate_S(n_divisor: int, height: int) -> VectorSet:
     """Height-bounded slice of the infinite set S(N).
 
@@ -294,6 +299,8 @@ def enumerate_S(n_divisor: int, height: int) -> VectorSet:
         raise ValueError(f"N must be a positive squarefree integer, got {n_divisor}")
     if height < 1:
         raise ValueError(f"H must be >= 1, got {height}")
+    if height > MAX_HEIGHT:
+        raise ValueError(f"H must be <= {MAX_HEIGHT}, got {height}")
     limit, norms = 3 * height * height, [1]
     for p in primes:
         norms += [m * p**e for m in norms for e in range(1, limit.bit_length()) if m * p**e <= limit]

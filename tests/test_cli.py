@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import kscolor
 
-from kscolor import cli
+from kscolor import cli, orthograph
 from kscolor.cli import COMMANDS, build_parser, main
 from kscolor.ffproj import parse_projections, reduce_set_mod_p
 from kscolor.vectors import (
@@ -129,10 +129,13 @@ def test_sat_run_reports_an_unwritable_coloring(command, tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
-def test_refused_solve_writes_no_cnf(tmp_path, q_file, capsys):
-    cnf = tmp_path / "side.cnf"
-    assert main(["solve", q_file, "--brute", "--cnf-out", str(cnf)]) == 1
-    assert "brute force" in capsys.readouterr().err
+def test_refused_solve_writes_no_cnf(tmp_path, capsys):
+    # the wlog step does not replay on a set without the x<->z swap
+    nonsym, cnf = tmp_path / "nonsym.txt", tmp_path / "side.cnf"
+    nonsym.write_text("1 0 0\n0 1 0\n0 0 1\n1 1 0\n")
+    assert main(["solve", str(nonsym), "--wlog", "--cnf-out", str(cnf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: symmetry shortcut needs ")
     assert not cnf.exists()
 
 
@@ -220,14 +223,24 @@ def test_a_file_whose_headers_its_vectors_break_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: an entry of absolute value 3 exceeds H = 1\n"
 
 
-def test_solve_brute_guard(q_file, capsys):
-    assert main(["solve", q_file, "--brute"]) == 1
-    assert "brute force" in capsys.readouterr().err
+def test_solve_brute_guard(tmp_path, q_file, capsys):
+    # every verdict comes from solver.solve; the brute force is the tests' oracle alone
+    cnf = tmp_path / "x.cnf"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", q_file, "--brute", "--cnf-out", str(cnf)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.endswith("kscolor: error: unrecognized arguments: --brute\n")
+    assert not cnf.exists()
 
 
 def test_solve_refuses_brute_with_wlog(q_file, capsys):
-    assert main(["solve", q_file, "--brute", "--wlog"]) == 1
-    assert "--wlog" in capsys.readouterr().err
+    # with --brute gone, adding --wlog does not revive it: argparse still refuses the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", q_file, "--brute", "--wlog"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.endswith("kscolor: error: unrecognized arguments: --brute\n")
 
 
 def test_solve_side_outputs(tmp_path, q_file):
@@ -252,6 +265,7 @@ def test_solve_leaves_dot_export_to_graph(tmp_path, q_file):
     (["ffproj", "--p", "103"], "error: enumeration refused beyond p = 101"),
     (["build", "S", "--N", "0"], "error: N must be a positive squarefree integer, got 0"),
     (["build", "S", "--N", "-6"], "error: N must be a positive squarefree integer, got -6"),
+    (["build", "S", "--N", "6", "--height", "1001"], "error: H must be <= 1000, got 1001"),
 ])
 def test_user_errors_print_one_error_line(argv, message, tmp_path, q_file, capsys):
     (tmp_path / "nonsym.txt").write_text("1 0 0\n0 1 0\n0 0 1\n1 1 0\n")
@@ -263,6 +277,20 @@ def test_user_errors_print_one_error_line(argv, message, tmp_path, q_file, capsy
     assert captured.err.startswith(message.format(**fill))
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "{q}"], ["stats", "{q}"], ["solve", "{q}", "--cnf-out", "{tmp}/q.cnf"],
+    ["certify", "{q}", "--bundled"], ["ffproj", "--p", "13", "--reduce", "{q}"],
+])
+def test_a_graph_beyond_the_mask_limit_is_refused(argv, tmp_path, q_file, monkeypatch, capsys):
+    # Q's 85 masks need about 451 bytes: a limit of 450 refuses them
+    monkeypatch.setattr(orthograph, "MASK_BYTES_LIMIT", 450)
+    assert main([a.format(q=q_file, tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "q.cnf").exists()
+    assert captured.err == ("error: a graph of 85 vertices needs about 0 MiB of masks, "
+                            "beyond the 0 MiB limit\n")
 
 
 def test_build_choices_are_the_blocks_of_Q():
@@ -428,7 +456,7 @@ def test_usage_errors_exit_one(capsys):
 #: argv that end in help or a usage error, whichever subparsers main builds
 PARSE_EXITS = [
     [], ["--help"], *([name, "--help"] for name in COMMANDS),
-    ["bogus"], ["build", "X"], ["solve"], ["solve", "q.txt", "extra"],
+    ["bogus"], ["build", "X"], ["solve"], ["solve", "q.txt", "extra"], ["solve", "q.txt", "--brute"],
 ]
 
 
@@ -445,6 +473,7 @@ TOP_PARSER_ERRORS = {
     ("bogus",): "kscolor: error: argument command: invalid choice: 'bogus' (choose from "
                 "'build', 'graph', 'stats', 'solve', 'certify', 'ffproj')\n",
     ("solve", "q.txt", "extra"): "kscolor: error: unrecognized arguments: extra\n",
+    ("solve", "q.txt", "--brute"): "kscolor: error: unrecognized arguments: --brute\n",
 }
 
 

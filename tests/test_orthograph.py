@@ -7,12 +7,20 @@ import sys
 from functools import partial
 from itertools import combinations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kscolor
-from kscolor.orthograph import GraphStats, _sieve_primes, build_graph, graph_stats, to_dot
+from kscolor.orthograph import (
+    MASK_BYTES_LIMIT,
+    GraphStats,
+    _sieve_primes,
+    build_graph,
+    graph_stats,
+    to_dot,
+)
 from kscolor.vectors import (
     VectorSet,
     apply_matrix,
@@ -77,6 +85,25 @@ def test_basis_triple_graph():
 def test_empty_graph():
     g = build_graph(VectorSet(()))
     assert graph_stats(g) == GraphStats(0, 0, 0, 0)
+
+
+def test_build_graph_refuses_masks_beyond_the_limit_before_any_work():
+    # stand-ins holding n entries and no vectors: the guard reads only their
+    # length, and a stand-in it lets through fails at its first vector
+    with pytest.raises(ValueError) as exc:
+        build_graph(SimpleNamespace(vectors=range(92_682)))
+    assert str(exc.value) == ("a graph of 92682 vertices needs about 512 MiB of masks, "
+                              "beyond the 512 MiB limit")
+    with pytest.raises(TypeError):
+        build_graph(SimpleNamespace(vectors=range(92_681)))
+    with pytest.raises(ValueError, match="a graph of 10000000 vertices "):
+        build_graph(SimpleNamespace(vectors=range(10**7)), 5)
+
+
+def test_the_largest_measured_slice_passes_the_mask_limit():
+    # S(30030)|H=100 built in 5.2 s with a 749 MB peak on a 2-vCPU host
+    n = len(enumerate_S(30030, 100))
+    assert n == 75_337 and n * n // 16 <= MASK_BYTES_LIMIT
 
 
 def test_no_orthogonality():

@@ -448,6 +448,19 @@ def test_enumerate_S_rejects_bad_input():
         enumerate_S(4, 5)
     with pytest.raises(ValueError):
         enumerate_S(6, 0)
+    with pytest.raises(ValueError, match=r"^H must be <= 1000, got 1001$"):
+        enumerate_S(6, 1001)
+
+
+def test_enumerate_S_refuses_a_huge_height_before_scanning():
+    # in a fresh interpreter under a short timeout: the scan of H = 10^9
+    # would take about 5 * 10^17 bisections
+    code = "from kscolor.vectors import enumerate_S\nenumerate_S(1, 10**9)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kscolor.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=10)
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1] == "ValueError: H must be <= 1000, got 1000000000"
 
 
 # ---------------------------------------------------------------------------
