@@ -8,7 +8,6 @@ from .vectors import (
     enumerate_S,
     is_well_signed,
     norm_sq,
-    radical,
 )
 from .orthograph import OrthoGraph, build_graph
 from .solver import SolveResult, export_cnf, solve, verify_coloring

@@ -116,12 +116,12 @@ def cmd_solve(args) -> int:
     result = solver.solve(g, wlog=args.wlog)
     out = [(args.cnf_out, solver.to_dimacs(solver.export_cnf(g), g.vectors))] if args.cnf_out else []
     out.append((None, f"{result.verdict}\n"))
-    if result.satisfiable:
-        out.append((args.coloring_out, solver.format_coloring(g.vectors, result.coloring)))
-    else:
+    if not result.satisfiable:
         st = result.stats
         out.append((None, f"nodes: {st.nodes}  propagations: {st.propagations}  "
                           f"max depth: {st.max_depth}\n"))
+    elif args.coloring_out:
+        out.append((args.coloring_out, solver.format_coloring(g.vectors, result.coloring)))
     _write(out, [args.input])
     return 0 if result.satisfiable else 2
 

@@ -85,13 +85,6 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-def radical(n: int) -> int:
-    """Product of the distinct prime divisors of n; radical(1) == 1."""
-    if n < 1:
-        raise ValueError("radical requires a positive integer")
-    return math.prod(_prime_factors(n))
-
-
 #: Miller-Rabin to the prime bases 2 .. 41 decides primality exactly below
 #: this bound (Sorenson and Webster, 2015).
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -203,10 +196,6 @@ class VectorSet:
     def __iter__(self) -> Iterator[Vec3]:
         return iter(self.vectors)
 
-    def __contains__(self, v: Vec3) -> bool:
-        i = bisect_left(self.vectors, v)
-        return i < len(self.vectors) and self.vectors[i] == v
-
     def union(self, other: "VectorSet", name: Optional[str] = None) -> "VectorSet":
         return VectorSet.from_iterable(self.vectors + other.vectors, name=name)
 
@@ -277,6 +266,18 @@ def build_Q() -> VectorSet:
         _q_lines(list(Q_BLOCK_NORMS)), name="Q", n_divisor=462, height=8)
 
 
+def _slice_rule(n_divisor: Optional[int] = None, height: Optional[int] = None) -> list[int]:
+    """The one rule for a slice's N and H, each checked when given: N a
+    positive squarefree integer, H at least 1.  Returns N's primes, factored
+    once (none without N)."""
+    primes = [] if n_divisor is None else _prime_factors(n_divisor)  # none for N < 2, so N < 1 fails
+    if n_divisor is not None and math.prod(primes) != n_divisor:
+        raise ValueError(f"N must be a positive squarefree integer, got {n_divisor}")
+    if height is not None and height < 1:
+        raise ValueError(f"H must be >= 1, got {height}")
+    return primes
+
+
 #: the greatest height `enumerate_S` scans: the scan takes about H^2 / 2
 #: bisections whatever N is (about a second for N = 6 at this bound)
 MAX_HEIGHT = 1000
@@ -285,20 +286,16 @@ MAX_HEIGHT = 1000
 def enumerate_S(n_divisor: int, height: int) -> VectorSet:
     """Height-bounded slice of the infinite set S(N).
 
-    All canonical vectors v with max |entry| <= height whose norm's radical
-    divides the squarefree N.  The full S(N) is infinite; a bounded slice
+    All canonical vectors v with max |entry| <= height whose norm has only
+    primes dividing the squarefree N.  The full S(N) is infinite; a bounded slice
     is only conclusive upward for UNSAT verdicts.
 
     A point's norm is a square times its primitive part's, so each line of
     the cube with an admissible norm has a primitive vector of admissible
     norm.  The admissible norms up to 3H^2 are the products of powers of N's
-    primes, so N is factored once and no norm is tested.
+    primes, so N is factored once, by `_slice_rule`, and no norm is tested.
     """
-    primes = _prime_factors(n_divisor)  # none for N < 1
-    if n_divisor < 1 or math.prod(primes) != n_divisor:
-        raise ValueError(f"N must be a positive squarefree integer, got {n_divisor}")
-    if height < 1:
-        raise ValueError(f"H must be >= 1, got {height}")
+    primes = _slice_rule(n_divisor, height)
     if height > MAX_HEIGHT:
         raise ValueError(f"H must be <= {MAX_HEIGHT}, got {height}")
     limit, norms = 3 * height * height, [1]
@@ -330,9 +327,10 @@ def format_vector_set(s: VectorSet) -> str:
 
 def parse_vector_set(text: str) -> VectorSet:
     """Inverse of `format_vector_set`.  A `# vectors:` header must match the
-    number of vector lines, so a truncated file is refused.  `N:` must be
-    squarefree and hold every norm's primes, `H:` be >= 1 and bound every
-    entry of the canonical vectors."""
+    number of vector lines, so a truncated file is refused.  The `N:` and
+    `H:` headers are only read here and checked by `_slice_rule`, the rule
+    `enumerate_S` keeps; `N:` must also hold every norm's primes and `H:`
+    bound every entry of the canonical vectors."""
     name = None
     numbers: dict[str, int] = {}  # the integer headers N, H and vectors
     vecs = []
@@ -363,18 +361,17 @@ def parse_vector_set(text: str) -> VectorSet:
         raise ValueError(f"header says {count} vectors, the file has {len(vecs)} vector lines")
     n, h = numbers.get("N"), numbers.get("H")
     s = VectorSet.from_iterable(vecs, name=name, n_divisor=n, height=h)
+    primes = _slice_rule(n)  # N and its norms first, then H
     if n is not None:
-        if n < 1 or radical(n) != n:
-            raise ValueError(f"N must be a positive squarefree integer, got {n}")
         for q, v in {norm_sq(v): v for v in s}.items():
             rest = q
-            while (d := math.gcd(rest, n)) > 1:
-                rest //= d
+            for p in primes:
+                while rest % p == 0:
+                    rest //= p
             if rest > 1:
                 raise ValueError(f"the norm {q} of {v} has a prime that does not divide N = {n}")
+    _slice_rule(height=h)
     if h is not None:
-        if h < 1:
-            raise ValueError(f"H must be >= 1, got {h}")
         top = max(map(abs, chain.from_iterable(s.vectors)), default=0)
         if top > h:
             raise ValueError(f"an entry of absolute value {top} exceeds H = {h}")

@@ -16,3 +16,18 @@ def signed_permutations():
         for perm in permutations(range(3))
         for signs in product((1, -1), repeat=3)
     ]
+
+
+def radical(n):
+    """The product of the distinct primes dividing n >= 1, by trial division
+    to the square root; radical(1) == 1."""
+    if n < 1:
+        raise ValueError("radical requires a positive integer")
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            out *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out * n if n > 1 else out

@@ -110,6 +110,14 @@ def test_solve_sat_writes_coloring(tmp_path, capsys):
     assert len(lines) == 3 and all(line[-1] in "01" for line in lines)
 
 
+def test_solve_sat_prints_only_its_verdict(sat_file, capsys):
+    # the coloring goes only where --coloring-out names a file, as for ffproj
+    before = sorted(os.listdir())
+    assert main(["solve", sat_file]) == 0
+    assert capsys.readouterr().out == "SAT\n"
+    assert sorted(os.listdir()) == before
+
+
 def test_build_reports_an_unwritable_output(tmp_path, capsys):
     out = tmp_path / "missing" / "q.txt"
     assert main(["build", "Q", "-o", str(out)]) == 1
@@ -767,6 +775,27 @@ def test_a_large_prime_N_builds_and_loads(tmp_path):
     run = _kscolor(["stats", "big.txt"], tmp_path, stdout=subprocess.PIPE)
     assert (run.returncode, run.stdout) == (
         0, "vertices:   3\nedges:      3\ntriples:    1\nbare edges: 0\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_a_coloring_named_dev_stdout_comes_before_the_verdict(run_dir):
+    # files are written first, so down a pipe the verdict follows the coloring
+    run = _kscolor(["solve", "sat.txt", "--coloring-out", "c.txt"], run_dir, stdout=subprocess.PIPE)
+    assert (run.returncode, run.stdout) == (0, "SAT\n")
+    run = _kscolor(["solve", "sat.txt", "--coloring-out", "/dev/stdout"], run_dir,
+                   stdout=subprocess.PIPE)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (run_dir / "c.txt").read_text() + "SAT\n"
+
+
+def test_a_large_composite_N_header_loads(tmp_path):
+    # 2 * 3 * 7 * 11 and a prime far above trial division: the header's N is
+    # factored within the bound, in a fresh interpreter under a timeout
+    n = 462 * (10**18 + 3)
+    (tmp_path / "big.txt").write_text(f"# N: {n}\n# H: 3\n1 1 1\n1 -1 0\n1 1 -2\n1 2 3\n")
+    run = _kscolor(["stats", "big.txt"], tmp_path, stdout=subprocess.PIPE)
+    assert (run.returncode, run.stderr, run.stdout) == (
+        0, "", "vertices:   4\nedges:      3\ntriples:    1\nbare edges: 0\n")
 
 
 @pytest.mark.parametrize("n", [

@@ -26,10 +26,10 @@ from kscolor.vectors import (
     is_well_signed,
     norm_sq,
     parse_vector_set,
-    radical,
 )
+from kscolor import vectors
 
-from oracles import dot, signed_permutations
+from oracles import dot, radical, signed_permutations
 
 nonzero_vec = st.tuples(
     st.integers(-100, 100), st.integers(-100, 100), st.integers(-100, 100)
@@ -156,19 +156,10 @@ def test_radical_against_oracle(n):
 
 
 def test_radical_keeps_no_memo():
-    # a process-wide memo would only grow, and nothing needs it
-    assert not hasattr(radical, "cache_info")
-
-
-def test_radical_of_a_large_N():
-    # in a fresh interpreter, so a factoring that never ends fails at the
-    # timeout instead of hanging the suite
-    n = 10**18 + 3  # prime, far above what trial division reaches
-    code = f"from kscolor.vectors import radical\nprint(radical({n}), radical({462 * n}))"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kscolor.__file__)))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert run.stdout == f"{n} {462 * n}\n"
+    # a process-wide memo would only grow, and nothing needs it: neither the
+    # oracle nor the package's factoring keeps one
+    for f in (radical, vectors._prime_factors, vectors._slice_rule):
+        assert not hasattr(f, "cache_info")
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +334,7 @@ def _enumerate_S_oracle(n_divisor, height):
     for v in product(range(-height, height + 1), repeat=3):
         if v == (0, 0, 0):
             continue
-        q = norm_sq(v)
-        m = q
-        for p in range(2, q + 1):
-            if n_divisor % p == 0:
-                while m % p == 0:
-                    m //= p
-        if m != 1:
+        if n_divisor % radical(norm_sq(v)):
             continue
         out.add(canonicalize(v))
     # keep only lines whose canonical representative fits the height bound
@@ -543,10 +528,37 @@ def test_parse_reports_a_non_integer_header_with_its_line(header):
     ("# N: 462\n# H: 1\n1 2 3\n", "an entry of absolute value 3 exceeds H = 1"),
     ("# H: 0\n1 0 0\n", "H must be >= 1, got 0"),
     ("# H: -3\n", "H must be >= 1, got -3"),
-], ids=["N=4,H=-3", "N=0", "N=12", "norm 3, N=2", "entry 3, H=1", "H=0", "H=-3"])
+    ("# N: 2\n# H: 0\n1 1 1\n", r"the norm 3 of \(1, 1, 1\) has a prime that does not divide N = 2"),
+], ids=["N=4,H=-3", "N=0", "N=12", "norm 3, N=2", "entry 3, H=1", "H=0", "H=-3", "norm 3, N=2, H=0"])
 def test_parse_refuses_slice_headers_the_vectors_break(text, message):
     with pytest.raises(ValueError, match=message):
         parse_vector_set(text)
+
+
+@pytest.mark.parametrize("n, h, message", [
+    (12, 1, "N must be a positive squarefree integer, got 12"),
+    (0, 1, "N must be a positive squarefree integer, got 0"),
+    (-6, 1, "N must be a positive squarefree integer, got -6"),
+    (6, 0, "H must be >= 1, got 0"),
+    (1000003 * 1000033, 1, "cannot factor N: trial division to 1000000 leaves 1000036000099, "
+                           "which is not a prime below 3317044064679887385961981"),
+], ids=["N=12", "N=0", "N=-6", "H=0", "unfactorable N"])
+def test_a_slice_and_a_file_header_share_one_rule(n, h, message):
+    with pytest.raises(ValueError) as built:
+        enumerate_S(n, h)
+    with pytest.raises(ValueError) as read:
+        parse_vector_set(f"# N: {n}\n# H: {h}\n1 0 0\n")
+    assert str(built.value) == str(read.value) == message
+
+
+def test_a_file_header_N_is_taken_exactly_when_squarefree():
+    for n in range(1, 200):
+        text = f"# N: {n}\n1 0 0\n"
+        if radical(n) == n:
+            assert parse_vector_set(text).n_divisor == n
+        else:
+            with pytest.raises(ValueError, match=f"^N must be a positive squarefree integer, got {n}$"):
+                parse_vector_set(text)
 
 
 def test_parse_checks_the_height_of_each_line_not_of_its_spelling():
