@@ -24,8 +24,9 @@ from . import ffproj, orthograph, solver, vectors
 
 
 def _file_key(path):
-    """What identifies the file at path: device and inode for a regular file,
-    the resolved path for one that does not exist yet, None otherwise."""
+    """What identifies the file at path (or open descriptor): device and inode
+    for a regular file, the resolved path for one that does not exist yet,
+    None otherwise."""
     try:
         st = os.stat(path)
     except FileNotFoundError:
@@ -37,11 +38,16 @@ def _file_key(path):
 
 def _write(files, inputs=()) -> None:
     """Write each (path, text) pair to its file, then those with a None path
-    to stdout, so a verdict follows its files.  A path naming an input or
-    another path of the call, or a closed stdout, is refused first; an
-    existing file that is not regular, such as /dev/stdout, is exempt.  If a
-    write fails, stdout's too, the regular files already written are removed."""
+    to stdout, so a verdict follows its files.  A path naming an input,
+    stdout's own regular file or another path of the call, or a closed
+    stdout, is refused first; an existing file that is not regular, such as
+    /dev/stdout down a pipe, is exempt.  If a write fails, stdout's too, the
+    regular files already written are removed."""
     taken = {_file_key(p): "an input" for p in inputs if p}
+    try:  # a second opening of stdout's file would truncate it under the verdict
+        taken.setdefault(_file_key(sys.stdout.fileno()), "the stdout")
+    except (AttributeError, ValueError):  # no stdout, or one without a descriptor
+        pass
     for path, _text in files:
         if path is None and sys.stdout is None:  # fd 1 was closed at start-up
             raise ValueError("cannot write stdout: it is closed")

@@ -11,10 +11,11 @@ vector is primitive, so it is never 0 mod a prime q: it stands for a line
 of F_q^3, and the lines orthogonal to it mod q are the q + 1 points of one
 projective line, whose integer codes are computed directly.  A pair is an
 edge when its lines are orthogonal mod every sieve prime.  Over Z the
-primes are taken in order until their product P exceeds 3 max|entry|^2 >=
-|u.v|; then u.v = 0 mod P forces u.v = 0 (Chinese remainder theorem), so
-the sieve is exact and no pair gets a dot product.  Over F_p the sieve is
-the prime p alone, exact by definition.
+primes are taken in order until their product P exceeds the largest norm
+M = max q(v); by Cauchy-Schwarz |u.v| <= sqrt(q(u) q(v)) <= M < P, so
+u.v = 0 mod P forces u.v = 0 (Chinese remainder theorem): the sieve is
+exact and no pair gets a dot product.  Over F_p the sieve is the prime p
+alone, exact by definition.
 
 Sets of vertices are int bitsets, bit j for vertex j.  later[i] holds the
 neighbours j > i of vertex i: it starts as every j > i, and each sieve
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .vectors import Vec3, VectorSet, is_prime, require_prime
+from .vectors import Vec3, VectorSet, is_prime, norm_sq, require_prime
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -46,8 +47,9 @@ MASK_BYTES_LIMIT = 512 << 20
 def _sieve_primes(bound: int) -> list[int]:
     """The primes in increasing order until their product exceeds bound.
 
-    With bound = 3 max|entry|^2 >= |u.v|, a pair orthogonal mod each of
-    them is orthogonal over Z: the sieve through them is exact.
+    With bound = the largest norm M, which bounds |u.v| <= sqrt(q(u) q(v))
+    by Cauchy-Schwarz, a pair orthogonal mod each of them is orthogonal
+    over Z: the sieve through them is exact.
     """
     primes, product, q = [], 1, 2
     while product <= bound:
@@ -168,7 +170,7 @@ def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
                          f"{len(vecs) ** 2 >> 24} MiB of masks, beyond the "
                          f"{MASK_BYTES_LIMIT >> 20} MiB limit")
     if p is None:
-        primes = _sieve_primes(3 * max((abs(x) for v in vecs for x in v), default=0) ** 2)
+        primes = _sieve_primes(max(map(norm_sq, vecs), default=0))
     else:
         require_prime(p)
         primes = [p]

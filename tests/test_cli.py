@@ -788,6 +788,21 @@ def test_a_coloring_named_dev_stdout_comes_before_the_verdict(run_dir):
     assert run.stdout == (run_dir / "c.txt").read_text() + "SAT\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("argv", [
+    ["solve", "sat.txt", "--coloring-out", "/dev/stdout"],
+    ["solve", "sat.txt", "--coloring-out", "out.txt"],
+    ["graph", "q.txt", "--dot-out", "/dev/stdout"],
+])
+def test_stdout_redirected_to_a_file_is_not_opened_again(argv, run_dir):
+    # a second opening would truncate the file and the verdict would land on
+    # the coloring's first bytes, so stdout's own file is refused as an input is
+    with open(run_dir / "out.txt", "w") as out:
+        run = _kscolor(argv, run_dir, stdout=out)
+    _assert_one_error_line(run, f"error: cannot write {argv[-1]}: it is the stdout of this command")
+    assert (run_dir / "out.txt").read_text() == ""
+
+
 def test_a_large_composite_N_header_loads(tmp_path):
     # 2 * 3 * 7 * 11 and a prime far above trial division: the header's N is
     # factored within the bound, in a fresh interpreter under a timeout

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kscolor
+from kscolor import orthograph
 from kscolor.orthograph import (
     MASK_BYTES_LIMIT,
     GraphStats,
@@ -307,18 +308,46 @@ def test_graph_pinned(build_set, p, sha):
 
 
 # Pairs whose dot product is divisible by every prime below the last one
-# their entries need: 30030 = 2*3*5*7*11*13 needs primes to 29, 30030 from
-# entries <= 297 needs 17, 223092870 = 2*3*...*23 from entries <= 22293
-# needs 29.  A sieve capped at 13, or one prime short, calls them orthogonal.
+# their largest norm M needs: 30030 = 2*3*5*7*11*13 with M = 30030^2 + 1
+# needs primes to 29, 30030 with M = 89234 needs 17, 223092870 = 2*3*...*23
+# with M = 543462974 needs 29, and 2310 = 2*3*5*7*11 with norms 2313 and
+# 2309 needs 13.  A sieve capped at 13, or one prime short, calls them
+# orthogonal; the last pair's |u.v| is within 3 of M, so a bound much
+# below the largest norm does too.
 @pytest.mark.parametrize("u, v", [
     ((1, 0, 0), (30030, 1, 0)),
     ((101, 1, 1), (297, 32, 1)),
     ((10007, 1, 1), (22293, 6818, 1)),
+    ((8, 32, 35), (8, 33, 34)),
 ])
 def test_sieve_is_exact_where_small_primes_are_not(u, v):
-    assert dot(u, v) in (30030, 223092870)
+    assert dot(u, v) in (2310, 30030, 223092870)
     g = build_graph(VectorSet.from_iterable([u, v]))
     assert g.edges == () and g.triples == ()
+
+
+# The primes each set is sieved through: their product is the first to pass
+# the set's largest norm, which on S(35)|H=30 and S(455)|H=30 (1715) stops
+# at 11 where three times the largest squared entry (2700) needs 13.
+@pytest.mark.parametrize("build_set, primes", [
+    pytest.param(build_Q, [2, 3, 5, 7], id="Q"),
+    pytest.param(partial(enumerate_S, 462, 8), [2, 3, 5, 7], id="S(462)|H=8"),
+    pytest.param(partial(enumerate_S, 462, 16), [2, 3, 5, 7, 11], id="S(462)|H=16"),
+    pytest.param(partial(enumerate_S, 462, 24), [2, 3, 5, 7, 11], id="S(462)|H=24"),
+    pytest.param(partial(enumerate_S, 35, 30), [2, 3, 5, 7, 11], id="S(35)|H=30"),
+    pytest.param(partial(enumerate_S, 455, 30), [2, 3, 5, 7, 11], id="S(455)|H=30"),
+    pytest.param(partial(enumerate_S, 35, 50), [2, 3, 5, 7, 11, 13], id="S(35)|H=50"),
+])
+def test_sieve_passes_stop_at_the_largest_norm(build_set, primes, monkeypatch):
+    sieve, sieved = orthograph._sieve, []
+
+    def recording_sieve(vecs, q):
+        sieved.append(q)
+        return sieve(vecs, q)
+
+    monkeypatch.setattr(orthograph, "_sieve", recording_sieve)
+    build_graph(build_set())
+    assert sieved == primes
 
 
 def test_sieve_primes_match_trial_division():
