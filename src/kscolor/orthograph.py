@@ -17,16 +17,19 @@ u.v = 0 mod P forces u.v = 0 (Chinese remainder theorem): the sieve is
 exact and no pair gets a dot product.  Over F_p the sieve is the prime p
 alone, exact by definition.
 
-Sets of vertices are int bitsets, bit j for vertex j.  later[i] holds the
-neighbours j > i of vertex i: it starts as every j > i, and each sieve
-prime narrows it once, by the mask of the vertices orthogonal to vertex i's
-line mod that prime, so one prime's tables are alive at a time.  The edges
-are the set bits of later[i], and the triples of an edge (i, j) the set
-bits k of later[i] & later[j]; both are walked inline in ascending order,
-lowest bit first, so edges and triples come out sorted.  The same rule
-serves Z and F_p, including unreduced sets mod p, where several vertices
-share a line or a line is isotropic: it only intersects orthogonality
-tests already made.
+Sets of vertices are int bitsets, bit n - 1 - j for vertex j of n, so the
+vertices after any vertex i are the bits below its own.  later[i] holds the
+neighbours j > i of vertex i: it starts as every j > i, the n - 1 - i low
+bits, and each sieve prime narrows it once, by the mask of the vertices
+orthogonal to vertex i's line mod that prime, so one prime's tables are
+alive at a time and later[i] stays within n - 1 - i bits: about n^2/16
+bytes in all.  The edges are the set bits of later[i], and the triples of
+an edge (i, j) the set bits k of later[j] & m, where m holds the bits of
+later[i] still left after j; both are walked inline from the top bit down,
+smallest vertex first, so edges and triples come out sorted.  The same
+rule serves Z and F_p, including unreduced sets mod p, where several
+vertices share a line or a line is isotropic: it only intersects
+orthogonality tests already made.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from .vectors import Vec3, VectorSet, is_prime, norm_sq, require_prime
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
 
-#: the most memory `build_graph` gives its masks: one n-bit mask per vertex,
-#: about n^2 / 16 bytes in all, so it refuses a set of more than 92 681 vectors
+#: the most memory `build_graph` gives its masks: vertex i's mask holds only
+#: the n - 1 - i vertices after it, about n^2 / 16 bytes in all, so it refuses
+#: a set of more than 92 681 vectors
 MASK_BYTES_LIMIT = 512 << 20
 
 
@@ -104,7 +108,8 @@ class OrthoGraph:
 
 def _sieve(vecs: tuple[Vec3, ...], q: int) -> tuple[list[int], dict[int, int]]:
     """Each vertex's line code mod q, and for each line that occurs the
-    bitset of the vertices whose lines are orthogonal to it mod q.
+    bitset of the vertices whose lines are orthogonal to it mod q, vertex j
+    of n at bit n - 1 - j as in `build_graph`.
 
     A line scaled to first nonzero entry 1 has the code bq + c for (1, b, c),
     q^2 + c for (0, 1, c) and q^2 + q for (0, 0, 1).  Both tables are dicts
@@ -114,6 +119,7 @@ def _sieve(vecs: tuple[Vec3, ...], q: int) -> tuple[list[int], dict[int, int]]:
     than that, one test per occurring line.
     """
     qq = q * q
+    top = len(vecs) - 1
     inverse: dict[int, int] = {}  # residue -> its inverse mod q
     members: dict[int, int] = {}  # line code -> bitset of the vertices on it
     codes = []
@@ -128,7 +134,7 @@ def _sieve(vecs: tuple[Vec3, ...], q: int) -> tuple[list[int], dict[int, int]]:
         else:
             k = qq + q
         codes.append(k)
-        members[k] = members.get(k, 0) | 1 << i
+        members[k] = members.get(k, 0) | 1 << top - i
     lines = {k: (1, *divmod(k, q)) if k < qq else (0, 1, k - qq) if k < qq + q else (0, 0, 1)
              for k in members}
     get = members.get
@@ -162,39 +168,43 @@ def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
 
     Vectors u, v are orthogonal when u.v = 0, or with p, which must be prime
     (ValueError otherwise), when u.v = 0 mod p: they then stand for lines of F_p^3.
-    A set whose masks would pass `MASK_BYTES_LIMIT` is refused before any is made.
+    Vertex i's mask holds only the n - 1 - i vertices after it, vertex j at
+    bit n - 1 - j, so an AND or a bit taken off it costs no more than that
+    width.  A set whose masks would pass `MASK_BYTES_LIMIT` is refused
+    before any is made.
     """
     vecs = s.vectors
-    if len(vecs) ** 2 // 16 > MASK_BYTES_LIMIT:
-        raise ValueError(f"a graph of {len(vecs)} vertices needs about "
-                         f"{len(vecs) ** 2 >> 24} MiB of masks, beyond the "
+    n = len(vecs)
+    if n * n // 16 > MASK_BYTES_LIMIT:
+        raise ValueError(f"a graph of {n} vertices needs about "
+                         f"{n * n >> 24} MiB of masks, beyond the "
                          f"{MASK_BYTES_LIMIT >> 20} MiB limit")
     if p is None:
         primes = _sieve_primes(max(map(norm_sq, vecs), default=0))
     else:
         require_prime(p)
         primes = [p]
-    later = [-2 << i for i in range(len(vecs))]  # later[i]: the j > i orthogonal to vertex i
+    top = n - 1  # vertex j sits at bit top - j
+    later = [(1 << top - i) - 1 for i in range(n)]  # later[i]: the j > i orthogonal to vertex i
     for q in primes:
         codes, orth = _sieve(vecs, q)
         for i, k in enumerate(codes):  # in place: one generation of masks alive
             later[i] &= orth[k]
         del codes, orth  # one prime's tables at a time
     edges, triples = [], []
-    for i, mi in enumerate(later):
-        m = mi
+    for i, m in enumerate(later):
         while m:
-            low = m & -m
-            m ^= low
-            j = low.bit_length() - 1
+            b = m.bit_length() - 1
+            m ^= 1 << b  # m: the neighbours of i after j
+            j = top - b
             edges.append((i, j))
             t = later[j]
             if t:
-                t &= mi
+                t &= m
                 while t:
-                    low = t & -t
-                    t ^= low
-                    triples.append((i, j, low.bit_length() - 1))
+                    c = t.bit_length() - 1
+                    t ^= 1 << c
+                    triples.append((i, j, top - c))
     return OrthoGraph(s, tuple(edges), tuple(triples))
 
 

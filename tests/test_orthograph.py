@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import os
 import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from itertools import combinations, product
 from pathlib import Path
@@ -105,6 +107,21 @@ def test_the_largest_measured_slice_passes_the_mask_limit():
     # S(30030)|H=100 built in 5.2 s with a 749 MB peak on a 2-vCPU host
     n = len(enumerate_S(30030, 100))
     assert n == 75_337 and n * n // 16 <= MASK_BYTES_LIMIT
+
+
+def test_build_peak_is_below_twice_the_mask_estimate():
+    # MASK_BYTES_LIMIT's check takes the masks as n^2/16 bytes; n-bit masks
+    # take n^2/8 on their own (a traced peak of 2.2 times n^2/16 here)
+    s = enumerate_S(6006, 40)
+    n = len(s)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build_graph(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 8089 and peak < n * n // 8
 
 
 def test_no_orthogonality():
@@ -293,6 +310,8 @@ GRAPH_PINS = [
                  "74fdc5eb78f6f7cd657383a4f2517eca67a281b9aee3a6e1aea5c3c0b5826687", id="F_31"),
     pytest.param(partial(_line_family, 61), 61,
                  "965551339ef8e983c2872391df6371029cc0a60f68c95d7d1013d75216846a8b", id="F_61"),
+    pytest.param(partial(_line_family, 101), 101,
+                 "e10b95d5eac8e7a37f4f07b23682f7696d068f8ae79f2d85b91d50e0ef4427ff", id="F_101"),
     pytest.param(partial(enumerate_S, 462, 3), 5,
                  "a1c5ca4e29a90689b3346ecab89a25f38f65eded4cf02c5b2a82d46f5acc296f", id="S(462)|H=3 mod 5"),
     pytest.param(build_Q, 1000000000039,

@@ -372,6 +372,35 @@ def test_solve_is_cheaper_than_its_graph_on_a_deep_sat_slice():
     assert solve_s < build_s / 2
 
 
+class _CountingList(list):
+    """A list that counts the items read from it by index."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_decisions_read_the_order_about_once_per_vertex(monkeypatch):
+    # The deterministic side of the ratio test above: a walk that resumes
+    # from its cursor reads each position about once, plus at most two reads
+    # per decision; restarting from the start of the order at every
+    # decision reads it 344 937 times.
+    searches = []
+    init = solver._Search.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        self.order = _CountingList(self.order)
+        searches.append(self)
+
+    monkeypatch.setattr(solver._Search, "__init__", counting_init)
+    g = build_graph(enumerate_S(35, 50))
+    st = solve(g).stats
+    (search,) = searches
+    assert search.order.reads <= len(g) + 2 * (st.nodes + 1)
+
+
 # (N, H) -> verdict, (nodes, propagations, max depth), sha256 of the
 # format_coloring text, taken while each decision still walked the order
 # from its start: the benchmark's six rungs and S(455)|H=10.
