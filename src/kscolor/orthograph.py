@@ -11,11 +11,14 @@ vector is primitive, so it is never 0 mod a prime q: it stands for a line
 of F_q^3, and the lines orthogonal to it mod q are the q + 1 points of one
 projective line, whose integer codes are computed directly.  A pair is an
 edge when its lines are orthogonal mod every sieve prime.  Over Z the
-primes are taken in order until their product P exceeds the largest norm
-M = max q(v); by Cauchy-Schwarz |u.v| <= sqrt(q(u) q(v)) <= M < P, so
-u.v = 0 mod P forces u.v = 0 (Chinese remainder theorem): the sieve is
-exact and no pair gets a dot product.  Over F_p the sieve is the prime p
-alone, exact by definition.
+primes are a run of consecutive primes whose product P exceeds the largest
+norm M = max q(v): of all such runs, the one whose passes cost least by an
+estimate of their work, one step per vertex and a third of a step per perp
+point visited.  Every pass loops over all n vertices, so a run of fewer,
+larger primes often costs less than the smallest primes.  By
+Cauchy-Schwarz |u.v| <= sqrt(q(u) q(v)) <= M < P, so u.v = 0 mod P forces
+u.v = 0 (Chinese remainder theorem): the sieve is exact and no pair gets a
+dot product.  Over F_p the sieve is the prime p alone, exact by definition.
 
 Sets of vertices are int bitsets, bit n - 1 - j for vertex j of n, so the
 vertices after any vertex i are the bits below its own.  later[i] holds the
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .vectors import Vec3, VectorSet, is_prime, norm_sq, require_prime
+from .vectors import MILLER_RABIN_BOUND, Vec3, VectorSet, is_prime, norm_sq, require_prime
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -48,20 +51,76 @@ Triple = tuple[int, int, int]
 MASK_BYTES_LIMIT = 512 << 20
 
 
-def _sieve_primes(bound: int) -> list[int]:
-    """The primes in increasing order until their product exceeds bound.
+#: a sieve pass costs one step per vertex (its line code and the AND that
+#: narrows its mask) and about a third of a step per perp point it visits.
+#: Fitted to `_pass_cost`'s counts per set, over Q, the six `zslices` rungs,
+#: S(455)|H=10 and S(6006)|H=40 and the least of 9 passes for each q <= 23
+#: (2 vCPUs, Python 3.11.7), a visit came to 0.21-0.56 of a vertex, median
+#: 0.29; weights 0.3-0.4 pick the same runs on all of them.  Costs are
+#: counted in visits, so they stay integers.
+VISITS_PER_VERTEX = 3
 
-    With bound = the largest norm M, which bounds |u.v| <= sqrt(q(u) q(v))
-    by Cauchy-Schwarz, a pair orthogonal mod each of them is orthogonal
-    over Z: the sieve through them is exact.
+
+def _pass_cost(q: int, n: int) -> int:
+    """The estimated work of a sieve pass mod q over n vertices, in perp visits.
+
+    At most min(n, q^2 + q + 1) lines occur, and each visits the q + 1
+    points of its perp or, when fewer lines occur, each line: the branches
+    of `_sieve`.  Never decreasing in q, and the same for every q >= n - 1.
     """
-    primes, product, q = [], 1, 2
+    lines = min(n, q * q + q + 1)
+    return VISITS_PER_VERTEX * n + lines * min(q + 1, lines)
+
+
+def _sieve_primes(bound: int, start: int = 2) -> list[int]:
+    """The primes from start up, in increasing order, until their product
+    exceeds bound: the run of consecutive primes from start that passes it."""
+    primes, product, q = [], 1, start
     while product <= bound:
         if is_prime(q):
             primes.append(q)
             product *= q
         q += 1
     return primes
+
+
+def _cheapest_run(bound: int, n: int) -> list[int]:
+    """The run of consecutive primes whose product exceeds bound at the least
+    estimated work over n vertices (`_pass_cost`), the earliest on a tie.
+
+    With bound = the largest norm M, which bounds |u.v| <= sqrt(q(u) q(v))
+    by Cauchy-Schwarz, a pair orthogonal mod each prime of the run is
+    orthogonal over Z: the sieve through them is exact.  The runs are
+    walked by their first prime, each extended from the last; a run costs
+    at least its first prime's pass, so the walk stops once that alone
+    costs as much as the best run.  From q >= n - 1 on every pass costs
+    the same, so the fewest primes win: the one prime above bound, tried
+    while `is_prime` decides it (bound < MILLER_RABIN_BOUND / 2).
+    """
+    if bound < 1:
+        return []
+    primes: list[int] = []  # 2, 3, 5, ... to the end of the run at hand
+    total = [0]  # total[k]: the cost of primes[:k]
+    start, product = 0, 1  # the run at hand is primes[start:], of this product
+    run, least = [], 0
+    while True:
+        for q in _sieve_primes(bound // product, primes[-1] + 1 if primes else 2):
+            primes.append(q)
+            total.append(total[-1] + _pass_cost(q, n))
+            product *= q
+        if not run or total[-1] - total[start] < least:
+            run, least = primes[start:], total[-1] - total[start]
+        q = primes[start]
+        if q > bound:
+            return run  # each later run is one prime, costing no less
+        if q + 1 >= n:  # every pass from q on costs the same
+            if bound < MILLER_RABIN_BOUND // 2 and _pass_cost(q, n) < least:
+                return _sieve_primes(bound, bound + 1)  # Bertrand: below 2 * bound
+            return run
+        product //= q
+        start += 1
+        if total[start + 1] - total[start] >= least:
+            return run  # each later run holds a pass as costly as least
 
 
 @dataclass(frozen=True)
@@ -168,6 +227,9 @@ def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
 
     Vectors u, v are orthogonal when u.v = 0, or with p, which must be prime
     (ValueError otherwise), when u.v = 0 mod p: they then stand for lines of F_p^3.
+    Over Z the sieve runs through `_cheapest_run` of the largest norm M: the
+    run of consecutive primes with product above M, exact by Cauchy-Schwarz,
+    whose passes are estimated to cost least; over F_p through p alone.
     Vertex i's mask holds only the n - 1 - i vertices after it, vertex j at
     bit n - 1 - j, so an AND or a bit taken off it costs no more than that
     width.  A set whose masks would pass `MASK_BYTES_LIMIT` is refused
@@ -180,7 +242,7 @@ def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
                          f"{n * n >> 24} MiB of masks, beyond the "
                          f"{MASK_BYTES_LIMIT >> 20} MiB limit")
     if p is None:
-        primes = _sieve_primes(max(map(norm_sq, vecs), default=0))
+        primes = _cheapest_run(max(map(norm_sq, vecs), default=0), n)
     else:
         require_prime(p)
         primes = [p]

@@ -92,7 +92,8 @@ MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; ValueError from MILLER_RABIN_BOUND up."""
+    """Trial division by the bases, which decides n below 41^2, then
+    deterministic Miller-Rabin; ValueError from MILLER_RABIN_BOUND up."""
     if n >= MILLER_RABIN_BOUND:
         raise ValueError(f"cannot decide whether {n} is prime: "
                          f"only numbers below {MILLER_RABIN_BOUND} are tested")
@@ -101,6 +102,8 @@ def is_prime(n: int) -> bool:
     for b in MILLER_RABIN_BASES:
         if n % b == 0:
             return n == b
+    if n < 1681:  # 41^2: a composite below it has a prime factor below 41
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1

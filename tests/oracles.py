@@ -31,3 +31,20 @@ def radical(n):
                 n //= p
         p += 1
     return out * n if n > 1 else out
+
+
+def primes_past(limit):
+    """The primes in increasing order up to the first one above limit, each
+    number tested by trial division by the primes before it."""
+    primes, q = [], 2
+    while not primes or primes[-1] <= limit:
+        for p in primes:
+            if p * p > q:
+                primes.append(q)
+                break
+            if q % p == 0:
+                break
+        else:
+            primes.append(q)
+        q += 1
+    return primes

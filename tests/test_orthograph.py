@@ -6,8 +6,10 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_right
 from functools import partial
 from itertools import combinations, product
+from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,9 +33,10 @@ from kscolor.vectors import (
     build_Qn,
     canonicalize,
     enumerate_S,
+    norm_sq,
 )
 
-from oracles import dot, signed_permutations
+from oracles import dot, primes_past, signed_permutations
 
 # Regression constants for the 85-vector set, first derived with the cubic
 # oracle below.
@@ -326,38 +329,8 @@ def test_graph_pinned(build_set, p, sha):
     assert hashlib.sha256(repr((g.edges, g.triples)).encode()).hexdigest() == sha
 
 
-# Pairs whose dot product is divisible by every prime below the last one
-# their largest norm M needs: 30030 = 2*3*5*7*11*13 with M = 30030^2 + 1
-# needs primes to 29, 30030 with M = 89234 needs 17, 223092870 = 2*3*...*23
-# with M = 543462974 needs 29, and 2310 = 2*3*5*7*11 with norms 2313 and
-# 2309 needs 13.  A sieve capped at 13, or one prime short, calls them
-# orthogonal; the last pair's |u.v| is within 3 of M, so a bound much
-# below the largest norm does too.
-@pytest.mark.parametrize("u, v", [
-    ((1, 0, 0), (30030, 1, 0)),
-    ((101, 1, 1), (297, 32, 1)),
-    ((10007, 1, 1), (22293, 6818, 1)),
-    ((8, 32, 35), (8, 33, 34)),
-])
-def test_sieve_is_exact_where_small_primes_are_not(u, v):
-    assert dot(u, v) in (2310, 30030, 223092870)
-    g = build_graph(VectorSet.from_iterable([u, v]))
-    assert g.edges == () and g.triples == ()
-
-
-# The primes each set is sieved through: their product is the first to pass
-# the set's largest norm, which on S(35)|H=30 and S(455)|H=30 (1715) stops
-# at 11 where three times the largest squared entry (2700) needs 13.
-@pytest.mark.parametrize("build_set, primes", [
-    pytest.param(build_Q, [2, 3, 5, 7], id="Q"),
-    pytest.param(partial(enumerate_S, 462, 8), [2, 3, 5, 7], id="S(462)|H=8"),
-    pytest.param(partial(enumerate_S, 462, 16), [2, 3, 5, 7, 11], id="S(462)|H=16"),
-    pytest.param(partial(enumerate_S, 462, 24), [2, 3, 5, 7, 11], id="S(462)|H=24"),
-    pytest.param(partial(enumerate_S, 35, 30), [2, 3, 5, 7, 11], id="S(35)|H=30"),
-    pytest.param(partial(enumerate_S, 455, 30), [2, 3, 5, 7, 11], id="S(455)|H=30"),
-    pytest.param(partial(enumerate_S, 35, 50), [2, 3, 5, 7, 11, 13], id="S(35)|H=50"),
-])
-def test_sieve_passes_stop_at_the_largest_norm(build_set, primes, monkeypatch):
+def _recording_sieve(monkeypatch):
+    """The primes `orthograph._sieve` is called with from now on, in order."""
     sieve, sieved = orthograph._sieve, []
 
     def recording_sieve(vecs, q):
@@ -365,7 +338,82 @@ def test_sieve_passes_stop_at_the_largest_norm(build_set, primes, monkeypatch):
         return sieve(vecs, q)
 
     monkeypatch.setattr(orthograph, "_sieve", recording_sieve)
-    build_graph(build_set())
+    return sieved
+
+
+# Pairs whose dot product is nonzero but divisible by a run of primes with
+# product at most the largest norm M, so a sieve through that run calls them
+# orthogonal.  The first four are divisible by the smallest primes as far as
+# the last one a run from 2 needs: 30030 = 2*3*5*7*11*13 with
+# M = 30030^2 + 1 needs primes to 29, 30030 with M = 89234 needs 17,
+# 223092870 = 2*3*...*23 with M = 543462974 needs 29, and 2310 = 2*3*5*7*11
+# with norms 2313 and 2309 needs 13.  Alone, two vertices cost the same pass
+# mod every prime, so they sieve through the one prime above M.  The last
+# pair, found by a search over entries up to 9, joins Q: dot product 60 and
+# norms 59 and 62, below Q's M = 77, so the run the set takes, 3, 5, 7, is
+# one prime past 3 * 5, which divides 60; a run one prime short of it calls
+# them orthogonal.
+@pytest.mark.parametrize("u, v, others", [
+    pytest.param((1, 0, 0), (30030, 1, 0), (), id="u0-v0"),
+    pytest.param((101, 1, 1), (297, 32, 1), (), id="u1-v1"),
+    pytest.param((10007, 1, 1), (22293, 6818, 1), (), id="u2-v2"),
+    pytest.param((8, 32, 35), (8, 33, 34), (), id="u3-v3"),
+    pytest.param((1, 3, 7), (2, 3, 7), build_Q().vectors, id="next to Q"),
+])
+def test_sieve_is_exact_where_small_primes_are_not(u, v, others, monkeypatch):
+    assert dot(u, v) in (60, 2310, 30030, 223092870)
+    s = VectorSet.from_iterable([u, v, *others])
+    sieved = _recording_sieve(monkeypatch)
+    g = build_graph(s)
+    assert dot(u, v) % prod(sieved[:-1]) == 0
+    assert prod(sieved) > max(map(norm_sq, s.vectors))
+    i, j = sorted([s.vectors.index(u), s.vectors.index(v)])
+    assert (i, j) not in g.edges
+    assert set(g.edges) == _oracle(s.vectors)[0]
+
+
+def test_norms_past_what_is_prime_decides_still_sieve_exactly(monkeypatch):
+    # M = 10^26 + 1 is past half of MILLER_RABIN_BOUND, so no prime above it
+    # is sought, and the three vertices, whose passes all cost the same, take
+    # the run from 2 that passes M
+    u, v, w = (1, 0, 10**13), (1, 10**13, 0), (0, 1, 0)
+    s = VectorSet.from_iterable([u, v, w])
+    sieved = _recording_sieve(monkeypatch)
+    g = build_graph(s)
+    run, product = [], 1
+    for q in primes_past(100):
+        if product > 10**26 + 1:
+            break
+        run.append(q)
+        product *= q
+    assert sieved == run
+    edges, triples = _oracle(s.vectors)
+    assert list(g.edges) == sorted(edges) and len(edges) == 1 and g.triples == ()
+
+
+# The primes each set is sieved through: of the runs of consecutive primes
+# whose product passes the set's largest norm M, the one whose passes
+# `_pass_cost` estimates to cost least.  S(462)|H=24 (2173 vertices,
+# M = 1458) takes 11, 13, 17: three passes over its vertices and 9 684 perp
+# visits, estimated at 29 241 visits in all, against five passes and 2 311
+# visits, 34 906, for 2, 3, 5, 7, 11.  S(462)|H=8 and S(35)|H=30 (445 and
+# 483 vertices) keep the smallest primes: there a pass saved costs less than
+# the perp visits of larger primes.  Over F_p the sieve is p alone.
+@pytest.mark.parametrize("build_set, p, primes", [
+    pytest.param(build_Q, None, [3, 5, 7], id="Q"),
+    pytest.param(partial(enumerate_S, 462, 8), None, [2, 3, 5, 7], id="S(462)|H=8"),
+    pytest.param(partial(enumerate_S, 462, 16), None, [7, 11, 13], id="S(462)|H=16"),
+    pytest.param(partial(enumerate_S, 462, 24), None, [11, 13, 17], id="S(462)|H=24"),
+    pytest.param(partial(enumerate_S, 35, 30), None, [2, 3, 5, 7, 11], id="S(35)|H=30"),
+    pytest.param(partial(enumerate_S, 455, 30), None, [5, 7, 11, 13], id="S(455)|H=30"),
+    pytest.param(partial(enumerate_S, 35, 50), None, [5, 7, 11, 13], id="S(35)|H=50"),
+    pytest.param(partial(enumerate_S, 455, 10), None, [5, 7, 11], id="S(455)|H=10"),
+    pytest.param(partial(_line_family, 13), 13, [13], id="F_13"),
+])
+def test_sieve_passes_stop_at_the_largest_norm(build_set, p, primes, monkeypatch):
+    s = build_set()
+    sieved = _recording_sieve(monkeypatch)
+    build_graph(s, p)
     assert sieved == primes
 
 
@@ -379,6 +427,74 @@ def test_sieve_primes_match_trial_division():
             expected.append(q)
             product *= q
         assert _sieve_primes(bound) == expected, bound
+    # from other starts: the run changes only where the bound reaches the
+    # product of a shorter run, so each side of each such product is checked
+    primes = primes_past(10**5)
+    for start in [*range(2, 200), 99_990]:
+        run = [q for q in primes if q >= start]
+        assert _sieve_primes(0, start) == []
+        for k in range(len(run) - 1):
+            product = prod(run[:k + 1])
+            assert _sieve_primes(product - 1, start) == run[:k + 1], (start, product)
+            assert _sieve_primes(product, start) == run[:k + 2], (start, product)
+            if product > 10**5:
+                break
+
+
+# A sieve pass mod q over n vertices as the rule prices it, in perp visits:
+# three per vertex, and for each of the at most min(n, q^2 + q + 1) lines
+# that occur, the q + 1 points of its perp or, when fewer lines occur, each
+# line.
+def _estimate(q, n):
+    lines = min(n, q * q + q + 1)
+    return 3 * n + lines * min(q + 1, lines)
+
+
+@pytest.fixture(scope="module")
+def runs_to_a_hundred_thousand():
+    """The primes past 10^5, and every product <= 10^5 of a run of them."""
+    primes = primes_past(10**5)
+    products = set()
+    for i in range(len(primes)):
+        product = 1
+        for q in primes[i:]:
+            product *= q
+            if product > 10**5:
+                break
+            products.add(product)
+    return primes, sorted(products)
+
+
+# two vertices, whose passes all cost the same; 40, whose cheapest run is
+# the one prime above the bound from 2 310 up; S(462)|H=24's size
+@pytest.mark.parametrize("n", [2, 40, 2173])
+def test_sieve_run_is_the_cheapest_past_every_bound(n, runs_to_a_hundred_thousand):
+    primes, products = runs_to_a_hundred_thousand
+    index = {q: i for i, q in enumerate(primes)}
+    cost = [_estimate(q, n) for q in primes]
+    # a run costs at least its first pass, and above a bound the first prime
+    # is the cheapest run of one
+    assert cost == sorted(cost)
+    assert orthograph._cheapest_run(0, n) == []
+    # every run passes each bound from one product to just below the next,
+    # or none of them: the cheapest run, the earliest on a tie, is checked at
+    # both ends
+    for low, high in zip([1, *products], [*products, 10**5 + 1]):
+        k = bisect_right(primes, low)
+        least = (cost[k], k)  # the cheapest run of one prime
+        for i in range(k):  # the runs of two or more primes from primes[i]
+            if cost[i] + cost[i + 1] > least[0]:
+                break
+            j, product = i, 1
+            while product <= low:
+                product *= primes[j]
+                j += 1
+            least = min(least, (sum(cost[i:j]), i))
+        for bound in {low, high - 1}:
+            run = orthograph._cheapest_run(bound, n)
+            i = index[run[0]]
+            assert run == primes[i:i + len(run)] and prod(run) > bound, (n, bound)
+            assert (sum(cost[i:i + len(run)]), i) == least, (n, bound)
 
 
 def test_triples_are_edge_closed():
