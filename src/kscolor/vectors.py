@@ -10,7 +10,7 @@ write is byte-reproducible.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, permutations
 from typing import Iterable, Iterator, Optional
@@ -175,9 +175,14 @@ class VectorSet:
 
     def __post_init__(self) -> None:
         vecs = self.vectors
-        for v in vecs:  # a primitive, well-signed tuple: canonicalize(v) == v
-            if not isinstance(v, tuple) or math.gcd(*v) != 1 or not is_well_signed(v):
-                raise ValueError(f"{v} is not in canonical form")
+        if not isinstance(vecs, tuple):  # a list would leave the set unhashable
+            raise TypeError(f"vectors must be a tuple, got {type(vecs).__name__}")
+        try:  # a wrong length or a non-int entry fails inside gcd or is_well_signed
+            for v in vecs:  # a primitive, well-signed tuple: canonicalize(v) == v
+                if not isinstance(v, tuple) or math.gcd(*v) != 1 or not is_well_signed(v):
+                    raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(f"{v} is not in canonical form") from None
         for u, v in zip(vecs, vecs[1:]):
             if not u < v:
                 raise ValueError(f"vectors not strictly increasing at {u}, {v}")
@@ -215,44 +220,68 @@ class VectorSet:
         )
 
 
-def _box_lines(norms: list[int], bound: int) -> Iterator[Vec3]:
-    """The canonical vector of each line whose primitive vectors lie in the
-    box [-bound, bound]^3 and have a norm in the ascending list `norms`,
-    once per image (a line with a zero or repeated entry recurs).
+def _lines_in_key_order(norms: list[int], bound: int) -> tuple[Vec3, ...]:
+    """The canonical vectors, ascending, of the lines whose primitive
+    vectors lie in the box [-bound, bound]^3 and have a norm in the
+    ascending list `norms`.
 
     Sorting absolute values keeps norm and box, so these are the images of
     the primitive points 0 <= x <= y <= z <= bound of those norms.  For each
-    (y, z) a bisection finds the norms in [y^2 + z^2, 2y^2 + z^2], and x is
-    the root of the rest when it is a square: about bound^2 / 2 bisections,
-    not bound^3 / 6 points.  The images are the permutations with signs +++,
-    -++, +-+ and ++-, one of each pair g, -g of the 48 signed permutations;
-    they are primitive, so a sign flip makes each one canonical.
+    (y, z) one bisection finds the first norm from y^2 + z^2 on; a pair
+    whose window [y^2 + z^2, 2y^2 + z^2] holds none is skipped, and x is the
+    root of each norm's rest that is a square: about bound^2 / 2 probes,
+    not bound^3 / 6 points.  The images are the permutations with signs
+    +++, -++, +-+ and ++-, one of each pair g, -g of the 48 signed
+    permutations; they are primitive, so a sign flip makes each one
+    canonical.
+
+    Each image (a, b, c) is filed under the key (a*W + b)*W + c, where
+    W = 2*bound + 1.  With every entry in [-bound, bound], b*W + c runs
+    over W^2 consecutive values and c over W, so a step in a outweighs any
+    change in b and c, and a step in b any change in c: the keys order
+    exactly as the tuples do.  A line whose zero or repeated entries make
+    it recur is filed once, and the slice comes out of one sort of ints.
     """
+    w = 2 * bound + 1
+    ww = w * w
+    by_key: dict[int, Vec3] = {}
+    norms = [*norms, 3 * bound * bound + 1]  # a sentinel past every window
     for z in range(1, bound + 1):
         for y in range(z + 1):
             yz = y * y + z * z
-            for n in norms[bisect_left(norms, yz):bisect_right(norms, yz + y * y)]:
+            i = bisect_left(norms, yz)
+            n, top = norms[i], yz + y * y
+            while n <= top:
                 x = math.isqrt(n - yz)
                 if x * x == n - yz and math.gcd(x, y, z) == 1:
-                    for a, b, c in permutations((x, y, z)):
-                        images = (a, b, c), (-a, b, c), (a, -b, c), (a, b, -c)
-                        if x:  # no zero entry: at most one minus sign is canonical
-                            yield from images
-                        else:
-                            for v in images:
-                                yield v if is_well_signed(v) else (-v[0], -v[1], -v[2])
+                    if x:  # no zero entry: at most one minus sign is canonical
+                        for a, b, c in permutations((x, y, z)):
+                            k = (a * w + b) * w + c
+                            by_key[k] = a, b, c
+                            by_key[k - 2 * a * ww] = -a, b, c
+                            by_key[k - 2 * b * w] = a, -b, c
+                            by_key[k - 2 * c] = a, b, -c
+                    else:
+                        for a, b, c in permutations((x, y, z)):
+                            for v in (a, b, c), (-a, b, c), (a, -b, c), (a, b, -c):
+                                if not is_well_signed(v):
+                                    v = -v[0], -v[1], -v[2]
+                                by_key[(v[0] * w + v[1]) * w + v[2]] = v
+                i += 1
+                n = norms[i]
+    return tuple(map(by_key.__getitem__, sorted(by_key)))
 
 
-def _q_lines(norms: list[int]) -> Iterator[Vec3]:
-    """The lines of Q's blocks of the ascending `norms`, from one scan of
-    the box [-8, 8]^3 that holds Q.  Blocks 1, 2, 3, 6, 21 are all lines of
-    their squarefree norm; blocks 33 and 77 keep only the lines with the
-    absolute entries of `_MULTISET_BLOCKS`: (1,4,4) and (4,5,6) have those
-    norms but are not in Q."""
-    for v in _box_lines(norms, 8):
-        block = _MULTISET_BLOCKS.get(norm_sq(v))
-        if block is None or tuple(sorted(map(abs, v))) == block:
-            yield v
+def _q_lines(norms: list[int]) -> tuple[Vec3, ...]:
+    """The lines of Q's blocks of the ascending `norms`, ascending, from one
+    scan of the box [-8, 8]^3 that holds Q.  Blocks 1, 2, 3, 6, 21 are all
+    lines of their squarefree norm; blocks 33 and 77 keep only the lines
+    with the absolute entries of `_MULTISET_BLOCKS`: (1,4,4) and (4,5,6)
+    have those norms but are not in Q."""
+    return tuple(
+        v for v in _lines_in_key_order(norms, 8)
+        if (block := _MULTISET_BLOCKS.get(norm_sq(v))) is None or tuple(sorted(map(abs, v))) == block
+    )
 
 
 def build_Qn(n: int) -> VectorSet:
@@ -260,13 +289,12 @@ def build_Qn(n: int) -> VectorSet:
     `_q_lines` that builds Q as well."""
     if n not in Q_BLOCK_NORMS:
         raise ValueError(f"no construction block for norm {n}")
-    return VectorSet.from_iterable(_q_lines([n]), name=f"Q_{n}")
+    return VectorSet(_q_lines([n]), name=f"Q_{n}")
 
 
 def build_Q() -> VectorSet:
     """The 85-vector uncolorable set: disjoint union of the seven blocks."""
-    return VectorSet.from_iterable(
-        _q_lines(list(Q_BLOCK_NORMS)), name="Q", n_divisor=462, height=8)
+    return VectorSet(_q_lines(list(Q_BLOCK_NORMS)), name="Q", n_divisor=462, height=8)
 
 
 def _slice_rule(n_divisor: Optional[int] = None, height: Optional[int] = None) -> list[int]:
@@ -282,7 +310,8 @@ def _slice_rule(n_divisor: Optional[int] = None, height: Optional[int] = None) -
 
 
 #: the greatest height `enumerate_S` scans: the scan takes about H^2 / 2
-#: bisections whatever N is (about a second for N = 6 at this bound)
+#: probes of one bisection each whatever N is (about a second for N = 6 at
+#: this bound)
 MAX_HEIGHT = 1000
 
 
@@ -296,17 +325,28 @@ def enumerate_S(n_divisor: int, height: int) -> VectorSet:
     A point's norm is a square times its primitive part's, so each line of
     the cube with an admissible norm has a primitive vector of admissible
     norm.  The admissible norms up to 3H^2 are the products of powers of N's
-    primes, so N is factored once, by `_slice_rule`, and no norm is tested.
+    primes, so N is factored once, by `_slice_rule`, each power is one
+    multiplication past the last, and no norm is tested.
+
+    The vectors come out of `_lines_in_key_order` ascending, each filed
+    under the integer key (a*W + b)*W + c, W = 2H + 1.  With every entry in
+    [-H, H] these keys order as the tuples do, so no set or sort of tuples
+    is built.
     """
     primes = _slice_rule(n_divisor, height)
     if height > MAX_HEIGHT:
         raise ValueError(f"H must be <= {MAX_HEIGHT}, got {height}")
     limit, norms = 3 * height * height, [1]
     for p in primes:
-        norms += [m * p**e for m in norms for e in range(1, limit.bit_length()) if m * p**e <= limit]
-    return VectorSet(
-        tuple(sorted(set(_box_lines(sorted(norms), height)))),
-        name=f"S({n_divisor})|H={height}", n_divisor=n_divisor, height=height)
+        more = []
+        for m in norms:
+            m *= p
+            while m <= limit:
+                more.append(m)
+                m *= p
+        norms += more
+    return VectorSet(_lines_in_key_order(sorted(norms), height),
+                     name=f"S({n_divisor})|H={height}", n_divisor=n_divisor, height=height)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -363,17 +364,19 @@ def test_enumerate_S_height_one():
                          (1, 12), (2, 12), (6, 12), (35, 12), (462, 12)]
 )
 def test_enumerate_S_against_oracle(n_divisor, height):
-    assert set(enumerate_S(n_divisor, height)) == _enumerate_S_oracle(n_divisor, height)
+    assert enumerate_S(n_divisor, height).vectors == tuple(sorted(_enumerate_S_oracle(n_divisor, height)))
 
 
 @settings(deadline=None)
 @given(
     st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), unique=True).map(math.prod),
-    st.integers(1, 5),
+    st.integers(1, 8),
 )
 def test_enumerate_S_matches_oracle(n_divisor, height):
-    # n_divisor ranges over the squarefree divisors of 30030
-    assert set(enumerate_S(n_divisor, height)) == _enumerate_S_oracle(n_divisor, height)
+    # n_divisor ranges over the squarefree divisors of 30030; the heights
+    # reach entries of +-H in every coordinate, x = 0 and repeated entries,
+    # and the order is compared as well as the lines
+    assert enumerate_S(n_divisor, height).vectors == tuple(sorted(_enumerate_S_oracle(n_divisor, height)))
 
 
 # sha256 of format_vector_set(enumerate_S(N, H)), taken when the slices were
@@ -482,6 +485,24 @@ def test_vector_set_takes_only_canonical_tuples():
         with pytest.raises(ValueError):
             VectorSet((bad,))
     assert VectorSet(((-1, 2, 3),)).vectors == ((-1, 2, 3),)
+
+
+def test_vector_set_refuses_a_list_of_vectors():
+    # a list left the set unhashable and unequal to the same set as a tuple
+    with pytest.raises(TypeError, match=r"^vectors must be a tuple, got list$"):
+        VectorSet([(1, 0, 0)])
+
+
+@pytest.mark.parametrize("bad", [(), (1,), (0, 1), (1, 0, 0, 0)])
+def test_vector_set_refuses_a_vector_of_the_wrong_length(bad):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))} is not in canonical form$"):
+        VectorSet(((0, 0, 1), bad))
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0, 0), (0, 1, 0.5), ("1", 0, 0)])
+def test_vector_set_refuses_a_non_int_entry(bad):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))} is not in canonical form$"):
+        VectorSet((bad,))
 
 
 def test_vector_set_membership():
