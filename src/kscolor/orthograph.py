@@ -22,14 +22,15 @@ dot product.  Over F_p the sieve is the prime p alone, exact by definition.
 
 Sets of vertices are int bitsets, bit n - 1 - j for vertex j of n, so the
 vertices after any vertex i are the bits below its own.  later[i] holds the
-neighbours j > i of vertex i: it starts as every j > i, the n - 1 - i low
-bits, and each sieve prime narrows it once, by the mask of the vertices
-orthogonal to vertex i's line mod that prime, so one prime's tables are
-alive at a time and later[i] stays within n - 1 - i bits: about n^2/16
-bytes in all.  The edges are the set bits of later[i], and the triples of
-an edge (i, j) the set bits k of later[j] & m, where m holds the bits of
-later[i] still left after j; both are walked inline from the top bit down,
-smallest vertex first, so edges and triples come out sorted.  The same
+neighbours j > i of vertex i: it is born at the first sieve prime as the
+mask of the vertices orthogonal to vertex i's line mod that prime, cut to
+the n - 1 - i low bits, and each later prime narrows it once by its own
+mask, so one prime's tables are alive at a time and later[i] stays within
+n - 1 - i bits: about n^2/16 bytes in all.  The edges are the set bits of
+later[i], and the triples of an edge (i, j) the set bits k of
+later[j] & m, where m holds the bits of later[i] still left after j; both
+are walked inline from the top bit down, smallest vertex first, so edges
+and triples come out sorted.  The same
 rule serves Z and F_p, including unreduced sets mod p, where several
 vertices share a line or a line is isotropic: it only intersects
 orthogonality tests already made.
@@ -165,38 +166,47 @@ class OrthoGraph:
         )
 
 
+class _Inverses(dict):
+    """Residue -> its inverse mod q, each computed on its first lookup, so
+    only the residues that occur are stored; 0 -> 0, so a lookup is also
+    the test whether the residue is 0."""
+
+    def __init__(self, q: int) -> None:
+        super().__init__({0: 0})
+        self.q = q
+
+    def __missing__(self, a: int) -> int:
+        t = self[a] = pow(a, -1, self.q)
+        return t
+
+
 def _sieve(vecs: tuple[Vec3, ...], q: int) -> tuple[list[int], dict[int, int]]:
     """Each vertex's line code mod q, and for each line that occurs the
     bitset of the vertices whose lines are orthogonal to it mod q, vertex j
     of n at bit n - 1 - j as in `build_graph`.
 
     A line scaled to first nonzero entry 1 has the code bq + c for (1, b, c),
-    q^2 + c for (0, 1, c) and q^2 + q for (0, 0, 1).  Both tables are dicts
-    keyed by the lines that occur, never q^2 + q + 1 entries, so a large q
-    costs no more than a small one.  Each occurring line costs its q + 1
-    perp codes, stepped through without a list, or, when fewer lines occur
-    than that, one test per occurring line.
+    q^2 + c for (0, 1, c) and q^2 + q for (0, 0, 1).  The codes come from one
+    comprehension, y reduced only where x = 0 mod q, through an `_Inverses`
+    table that holds only the residues that occur.  The member and perp
+    tables are dicts keyed by the lines that occur, never q^2 + q + 1
+    entries, so a large q costs no more than a small one.  Each occurring
+    line costs its q + 1 perp codes, stepped through without a list, or,
+    when fewer lines occur than that, one test per occurring line.
     """
     qq = q * q
     top = len(vecs) - 1
-    inverse: dict[int, int] = {}  # residue -> its inverse mod q
+    inverse = _Inverses(q)
+    codes = [y * t % q * q + z * t % q if (t := inverse[x % q])
+             else qq + z * t % q if (t := inverse[y % q])
+             else qq + q
+             for x, y, z in vecs]
     members: dict[int, int] = {}  # line code -> bitset of the vertices on it
-    codes = []
-    for i, (x, y, z) in enumerate(vecs):
-        a, b = x % q, y % q
-        if a:
-            t = inverse.get(a) or inverse.setdefault(a, pow(a, -1, q))
-            k = b * t % q * q + z * t % q
-        elif b:
-            t = inverse.get(b) or inverse.setdefault(b, pow(b, -1, q))
-            k = qq + z * t % q
-        else:
-            k = qq + q
-        codes.append(k)
-        members[k] = members.get(k, 0) | 1 << top - i
+    get = members.get
+    for i, k in enumerate(codes):
+        members[k] = get(k, 0) | 1 << top - i
     lines = {k: (1, *divmod(k, q)) if k < qq else (0, 1, k - qq) if k < qq + q else (0, 0, 1)
              for k in members}
-    get = members.get
     orth = {}
     for k, (a, b, c) in lines.items():
         mask = 0
@@ -247,11 +257,14 @@ def build_graph(s: VectorSet, p: Optional[int] = None) -> OrthoGraph:
         require_prime(p)
         primes = [p]
     top = n - 1  # vertex j sits at bit top - j
-    later = [(1 << top - i) - 1 for i in range(n)]  # later[i]: the j > i orthogonal to vertex i
+    later: list[int] = []  # later[i]: the j > i orthogonal to vertex i
     for q in primes:
         codes, orth = _sieve(vecs, q)
-        for i, k in enumerate(codes):  # in place: one generation of masks alive
-            later[i] &= orth[k]
+        if later:
+            for i, k in enumerate(codes):  # in place: one generation of masks alive
+                later[i] &= orth[k]
+        else:  # born at the first prime, within the n - 1 - i bits after vertex i
+            later = [orth[k] & (1 << top - i) - 1 for i, k in enumerate(codes)]
         del codes, orth  # one prime's tables at a time
     edges, triples = [], []
     for i, m in enumerate(later):

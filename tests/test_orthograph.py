@@ -128,8 +128,12 @@ def test_build_peak_is_below_twice_the_mask_estimate():
 
 
 def test_no_orthogonality():
-    g = build_graph(VectorSet.from_iterable([(1, 0, 0), (1, 1, 0)]))
-    assert g.edges == () and g.triples == ()
+    # a lone vertex sieves through the one prime above its norm, and its
+    # mask is born there, empty
+    for vecs in [(1, 0, 0), (1, 1, 0)], [(1, 2, 3)]:
+        g = build_graph(VectorSet.from_iterable(vecs))
+        assert g.edges == () and g.triples == ()
+        assert graph_stats(g) == GraphStats(len(vecs), 0, 0, 0)
 
 
 def test_Q_graph_matches_oracle_and_regression_constants():
@@ -327,6 +331,43 @@ GRAPH_PINS = [
 def test_graph_pinned(build_set, p, sha):
     g = build_graph(build_set(), p)
     assert hashlib.sha256(repr((g.edges, g.triples)).encode()).hexdigest() == sha
+
+
+def _line_code(v, q):
+    """The code of v's line mod q from its definition: v scaled so that its
+    first nonzero entry mod q is 1, then (1, b, c) -> bq + c,
+    (0, 1, c) -> q^2 + c and (0, 0, 1) -> q^2 + q."""
+    residues = [x % q for x in v]
+    scale = pow(next(x for x in residues if x), -1, q)
+    a, b, c = (x * scale % q for x in residues)
+    return b * q + c if a else q * q + c if b else q * q + q
+
+
+# entries far past every prime q <= 23 and past p = 10^12 + 39, many of them
+# 0 mod q: P = 2 * 3 * ... * 23 makes x = 0 or x = y = 0 mod each such q
+P23, P12 = 223092870, 1000000000039
+UNREDUCED = [(P23, P23 + 1, 2), (P23, 2 * P23, 1), (5 * P23, -P23, P23 + 1), (P12, 5, 7),
+             (2 * P12, P12, 3), (P12 * P23, 1, -1), (1, -P23, P12), (7 * P23 + 1, 11, -13),
+             (10**12, -10**9, 3), (P12 + 1, P23 - 1, 10**15 + 2)]
+
+
+@pytest.mark.parametrize("build_set", [
+    pytest.param(build_Q, id="Q"),
+    pytest.param(partial(enumerate_S, 30, 2), id="S(30)|H=2"),
+    pytest.param(partial(VectorSet.from_iterable, UNREDUCED), id="unreduced"),
+])
+def test_sieve_codes_are_the_lines_scaled_to_a_leading_one(build_set):
+    # each prime sees all three charts: x != 0, x = 0 != y and x = y = 0 mod q
+    vecs = build_set().vectors
+    n = len(vecs)
+    for q in [*primes_past(23)[:-1], P12]:
+        codes, orth = orthograph._sieve(vecs, q)
+        assert codes == [_line_code(v, q) for v in vecs], q
+        charts = {0 if x % q else 1 if y % q else 2 for x, y, _ in vecs}
+        assert charts == {0, 1, 2}, q
+        assert set(orth) == set(codes), q
+        for u, k in zip(vecs, codes):
+            assert orth[k] == sum(1 << n - 1 - j for j, v in enumerate(vecs) if dot(u, v) % q == 0)
 
 
 def _recording_sieve(monkeypatch):

@@ -442,7 +442,7 @@ def test_enumerate_S_rejects_bad_input():
 
 def test_enumerate_S_refuses_a_huge_height_before_scanning():
     # in a fresh interpreter under a short timeout: the scan of H = 10^9
-    # would take about 5 * 10^17 bisections
+    # would take about 5 * 10^17 (y, z) probes
     code = "from kscolor.vectors import enumerate_S\nenumerate_S(1, 10**9)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kscolor.__file__)))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
